@@ -14,6 +14,38 @@ import numpy as np
 from .core import Dataset, SkewbenchError, summarize
 
 
+@dataclass(frozen=True)
+class KnnClassifier:
+    """Configuration of the k-NN vote."""
+
+    k: int = 3
+    name = "knn"
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise SkewbenchError("knn k must be >= 1")
+
+
+@dataclass(frozen=True)
+class TreeClassifier:
+    """Configuration of the Gini tree's growth limits."""
+
+    max_depth: int = 12
+    min_leaf: int = 2
+    name = "tree"
+
+    def __post_init__(self) -> None:
+        if self.max_depth < 0:
+            raise SkewbenchError("tree max_depth must be >= 0")
+        if self.min_leaf < 1:
+            raise SkewbenchError("tree min_leaf must be >= 1")
+
+
+ClassifierConfig = KnnClassifier | TreeClassifier
+
+CLASSIFIERS = (KnnClassifier, TreeClassifier)
+
+
 def _resolve_roles(ds: Dataset, minority_label: int | None) -> tuple[int | None, int]:
     """(minority, majority) labels for a training set.
 
@@ -45,7 +77,7 @@ class KnnModel:
     majority_label: int
 
 
-def knn_fit(ds: Dataset, k: int = 3, minority_label: int | None = None) -> KnnModel:
+def knn_fit(ds: Dataset, k: int = KnnClassifier.k, minority_label: int | None = None) -> KnnModel:
     if not (1 <= k <= ds.n):
         raise SkewbenchError(f"k={k} outside valid range 1..{ds.n}")
     minority, majority = _resolve_roles(ds, minority_label)
@@ -135,7 +167,8 @@ def _best_split(points: np.ndarray, is_min: np.ndarray, min_leaf: int):
     return best
 
 
-def tree_fit(ds: Dataset, max_depth: int = 12, min_leaf: int = 2,
+def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
+             min_leaf: int = TreeClassifier.min_leaf,
              minority_label: int | None = None) -> TreeModel:
     """Greedy binary CART growth on Gini impurity.
 
@@ -145,8 +178,7 @@ def tree_fit(ds: Dataset, max_depth: int = 12, min_leaf: int = 2,
     (zero-gain splits are what make XOR-style data separable). Mixed labels
     with identical features collapse into a single leaf.
     """
-    if max_depth < 0 or min_leaf < 1:
-        raise SkewbenchError("max_depth must be >= 0 and min_leaf >= 1")
+    TreeClassifier(max_depth=max_depth, min_leaf=min_leaf)  # parameter validation
     if ds.n == 0:
         raise SkewbenchError("cannot fit a tree on an empty dataset")
     minority, majority = _resolve_roles(ds, minority_label)

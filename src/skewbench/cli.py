@@ -11,15 +11,14 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import (ConfigError, GEN_DEFAULTS, build_classifier,
                      build_experiment_spec, build_gen_spec, build_method,
                      load_config)
 from .core import Dataset, RngSeed, SkewbenchError, summarize
 from .datagen import generate_imbalanced
-from .evaluation import (METRIC_NAMES, all_pivots_text, evaluate_folds,
-                         report_to_csv_text, run_experiment, stratified_kfold)
+from .evaluation import (METRIC_NAMES, ExperimentSpec, aggregate, all_pivots_text,
+                         evaluate_folds, report_to_csv_text, run_experiment,
+                         stratified_kfold)
 from .io import read_dataset_csv, write_dataset_csv, write_ground_truth_csv
 from .plotting import scatter_svg
 from .resample import METHOD_NAMES, apply_method
@@ -36,6 +35,10 @@ def _summary_block(ds: Dataset) -> str:
         f"Number of Minority class sample: {s.counts[s.minority_label]}",
         f"Imbalance Ratio : {s.imbalance_ratio:.1f}",
     ])
+
+
+def _names(configs) -> list[str]:
+    return [config.name for config in configs]
 
 
 def _load_cfg(args) -> dict[str, str]:
@@ -77,8 +80,10 @@ def cmd_resample(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     ds = read_dataset_csv(args.input)
-    methods = tuple(build_method(name, cfg) for name in args.method)
-    classifiers = tuple(build_classifier(name, cfg) for name in args.classifier)
+    methods = tuple(build_method(name, cfg)
+                    for name in args.method or _names(ExperimentSpec.methods))
+    classifiers = tuple(build_classifier(name, cfg)
+                        for name in args.classifier or _names(ExperimentSpec.classifiers))
     seed = RngSeed(args.seed or 0)
     minority = summarize(ds).minority_label
     assignment = stratified_kfold(ds, args.folds, seed.child("folds"))
@@ -87,12 +92,8 @@ def cmd_eval(args) -> int:
     print("method,classifier," + ",".join(f"{m}_mean,{m}_std" for m in METRIC_NAMES))
     for method in methods:
         for clf in classifiers:
-            values = results[(method.name, clf.name)]
-            cells = []
-            for metric in METRIC_NAMES:
-                data = np.array([getattr(v, metric) for v in values])
-                cells.append(f"{data.mean():.6f}")
-                cells.append(f"{data.std():.6f}")
+            means, stds = aggregate(results[(method.name, clf.name)])
+            cells = [f"{stat[m]:.6f}" for m in METRIC_NAMES for stat in (means, stds)]
             print(",".join([method.name, clf.name] + cells))
     return 0
 
@@ -152,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="cross-validate methods and classifiers on a CSV")
     p.add_argument("input", help="input dataset CSV")
-    p.add_argument("--method", "-m", action="append", default=None,
-                   help="repeatable; defaults to base")
-    p.add_argument("--classifier", action="append", default=None,
-                   help="repeatable; defaults to knn and tree")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--method", "-m", action="append", help="repeatable; defaults to "
+                   + " and ".join(_names(ExperimentSpec.methods)))
+    p.add_argument("--classifier", action="append", help="repeatable; defaults to "
+                   + " and ".join(_names(ExperimentSpec.classifiers)))
+    p.add_argument("--folds", type=int, default=ExperimentSpec.folds)
     p.add_argument("--config", "-c", help="key = value config file")
     p.add_argument("--seed", type=int, help="cross-validation seed")
     p.set_defaults(func=cmd_eval)
@@ -180,16 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval":
-        args.method = args.method or ["base"]
-        args.classifier = args.classifier or ["knn", "tree"]
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SkewbenchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SkewbenchError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -1,48 +1,54 @@
 """Line-oriented `key = value` run configuration.
 
 Flat keys namespaced by prefix (gen., exp., plus per-method parameter groups).
-Unknown keys are rejected so typos fail fast. Every field has a documented
-default; a missing config file section simply falls back to those.
+Unknown keys are rejected so typos fail fast. The keys and their defaults are
+the fields of GenSpec, ExperimentSpec and the method and classifier classes,
+so a missing key falls back to the field default.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
 from pathlib import Path
 
 from .core import SkewbenchError
 from .datagen import GenSpec
-from .evaluation import (ClassifierConfig, ExperimentSpec, GenProfile,
-                         KnnClassifier, TreeClassifier)
-from .resample import CO, NCR, RO, SMOTE, Base, MethodConfig, Sparsity
+from .classify import CLASSIFIERS, ClassifierConfig
+from .evaluation import ExperimentSpec
+from .resample import METHODS, MethodConfig
 
 class ConfigError(SkewbenchError):
     """Invalid configuration or command usage (CLI exit code 2)."""
 
 
-KNOWN_KEYS = frozenset({
-    "gen.n_samples", "gen.ratio", "gen.dims", "gen.minority_subclusters",
-    "gen.majority_subclusters", "gen.sub_sigma", "gen.box",
-    "gen.min_center_separation", "gen.disturbance_ratio", "gen.rare_fraction",
-    "gen.safe_fraction", "gen.seed",
-    "exp.subclusters", "exp.sizes", "exp.ratios", "exp.disturbances",
-    "exp.methods", "exp.classifiers", "exp.folds", "exp.repeats", "exp.seed",
-    "knn.k", "tree.max_depth", "tree.min_leaf",
-    "smote.k", "smote.amount_pct", "ncr.k", "sparsity.alpha", "sparsity.scope",
-})
+# GenSpec fields whose config key is not the field name.
+_GEN_KEYS = {"class_ratio": "ratio", "center_box": "box"}
 
-GEN_DEFAULTS = {
-    "gen.n_samples": "400",
-    "gen.ratio": "79:21",
-    "gen.dims": "2",
-    "gen.minority_subclusters": "2",
-    "gen.majority_subclusters": "1",
-    "gen.sub_sigma": "1.0",
-    "gen.box": "0,20",
-    "gen.min_center_separation": "5.0",
-    "gen.disturbance_ratio": "0.0",
-    "gen.rare_fraction": "0.0",
-    "gen.seed": "0",
-}
+
+def _gen_key(name: str) -> str:
+    return "gen." + _GEN_KEYS.get(name, name)
+
+
+def _exp_key(name: str) -> str:
+    return "exp." + name
+
+
+def _show(value) -> str:
+    if isinstance(value, tuple):  # class_ratio or center_box
+        sep = ":" if isinstance(value[0], int) else ","
+        return sep.join(f"{v:g}" for v in value)
+    return str(value)
+
+
+KNOWN_KEYS = frozenset(
+    [_gen_key(f.name) for f in fields(GenSpec)]
+    + [_exp_key(f.name) for f in fields(ExperimentSpec) if f.name != "template"]
+    + [f"{cls.name}.{f.name}" for cls in METHODS + CLASSIFIERS for f in fields(cls)])
+
+# Shown by `generate --help`; safe_fraction has no default, it is derived.
+GEN_DEFAULTS = {_gen_key(f.name): _show(f.default)
+                for f in fields(GenSpec) if f.default is not None}
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
@@ -71,28 +77,21 @@ def load_config(path) -> dict[str, str]:
     return parse_config_text(p.read_text(), source=str(p))
 
 
-def _get(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    if key in cfg:
-        return cfg[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"missing required config key {key!r}")
-
-
-def _get_int(cfg, key, default=None) -> int:
-    raw = _get(cfg, key, default)
+def _parse_int(raw: str, key: str) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
 
 
-def _get_float(cfg, key, default=None) -> float:
-    raw = _get(cfg, key, default)
+def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_ratio(raw: str, key: str) -> tuple[int, int]:
@@ -108,6 +107,13 @@ def _parse_ratio(raw: str, key: str) -> tuple[int, int]:
     return maj, minor
 
 
+def _parse_box(raw: str, key: str) -> tuple[float, float]:
+    parts = _split_list(raw)
+    if len(parts) != 2:
+        raise ConfigError(f"{key} must be low,high")
+    return _parse_float(parts[0], key), _parse_float(parts[1], key)
+
+
 def _split_list(raw: str) -> list[str]:
     items = [item.strip() for item in raw.split(",") if item.strip()]
     if not items:
@@ -115,121 +121,73 @@ def _split_list(raw: str) -> list[str]:
     return items
 
 
-def build_gen_spec(cfg: dict[str, str], seed: int | None = None) -> GenSpec:
-    box_raw = _split_list(_get(cfg, "gen.box", GEN_DEFAULTS["gen.box"]))
-    if len(box_raw) != 2:
-        raise ConfigError("gen.box must be low,high")
+def _parse_as(default):
+    """The parser for a field, chosen by the type of its default."""
+    if isinstance(default, int):
+        return _parse_int
+    if isinstance(default, float):
+        return _parse_float
+    return lambda raw, key: raw
+
+
+def _values(cls, cfg: dict[str, str], key_of, parsers=None) -> dict:
+    """Parsed values of the fields of `cls` that `cfg` sets."""
+    parsers = parsers or {}
+    values = {}
+    for f in fields(cls):
+        key = key_of(f.name)
+        if key in cfg:
+            values[f.name] = parsers.get(f.name, _parse_as(f.default))(cfg[key], key)
+    return values
+
+
+def _construct(cls, values: dict):
     try:
-        box = (float(box_raw[0]), float(box_raw[1]))
-    except ValueError:
-        raise ConfigError("gen.box must contain numbers") from None
-    safe = cfg.get("gen.safe_fraction")
-    try:
-        return GenSpec(
-            n_samples=_get_int(cfg, "gen.n_samples", GEN_DEFAULTS["gen.n_samples"]),
-            class_ratio=_parse_ratio(_get(cfg, "gen.ratio", GEN_DEFAULTS["gen.ratio"]),
-                                     "gen.ratio"),
-            seed=seed if seed is not None
-            else _get_int(cfg, "gen.seed", GEN_DEFAULTS["gen.seed"]),
-            dims=_get_int(cfg, "gen.dims", GEN_DEFAULTS["gen.dims"]),
-            minority_subclusters=_get_int(cfg, "gen.minority_subclusters",
-                                          GEN_DEFAULTS["gen.minority_subclusters"]),
-            majority_subclusters=_get_int(cfg, "gen.majority_subclusters",
-                                          GEN_DEFAULTS["gen.majority_subclusters"]),
-            sub_sigma=_get_float(cfg, "gen.sub_sigma", GEN_DEFAULTS["gen.sub_sigma"]),
-            center_box=box,
-            min_center_separation=_get_float(cfg, "gen.min_center_separation",
-                                             GEN_DEFAULTS["gen.min_center_separation"]),
-            disturbance_ratio=_get_float(cfg, "gen.disturbance_ratio",
-                                         GEN_DEFAULTS["gen.disturbance_ratio"]),
-            rare_fraction=_get_float(cfg, "gen.rare_fraction",
-                                     GEN_DEFAULTS["gen.rare_fraction"]),
-            safe_fraction=float(safe) if safe is not None else None,
-        )
-    except ConfigError:
-        raise
+        return cls(**values)
     except SkewbenchError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def build_profile(cfg: dict[str, str]) -> GenProfile:
-    spec = build_gen_spec(cfg)
-    return GenProfile(
-        dims=spec.dims,
-        majority_subclusters=spec.majority_subclusters,
-        sub_sigma=spec.sub_sigma,
-        center_box=spec.center_box,
-        min_center_separation=spec.min_center_separation,
-        rare_fraction=spec.rare_fraction,
-    )
+def build_gen_spec(cfg: dict[str, str], seed: int | None = None) -> GenSpec:
+    values = _values(GenSpec, cfg, _gen_key, {"class_ratio": _parse_ratio,
+                                              "center_box": _parse_box,
+                                              "safe_fraction": _parse_float})
+    if seed is not None:
+        values["seed"] = seed
+    return _construct(GenSpec, values)
+
+
+def _build(classes, what: str, name: str, cfg: dict[str, str]):
+    name = name.strip().lower()
+    for cls in classes:
+        if cls.name == name:
+            return _construct(cls, _values(cls, cfg, lambda field: f"{name}.{field}"))
+    valid = ", ".join(cls.name for cls in classes)
+    raise ConfigError(f"unknown {what} {name!r}; valid {what}s: {valid}")
 
 
 def build_method(name: str, cfg: dict[str, str]) -> MethodConfig:
-    name = name.strip().lower()
-    try:
-        if name == "base":
-            return Base()
-        if name == "ro":
-            return RO()
-        if name == "co":
-            return CO()
-        if name == "smote":
-            return SMOTE(k=_get_int(cfg, "smote.k", "5"),
-                         amount_pct=_get_int(cfg, "smote.amount_pct", "100"))
-        if name == "ncr":
-            return NCR(k=_get_int(cfg, "ncr.k", "3"))
-        if name == "sparsity":
-            return Sparsity(alpha=_get_float(cfg, "sparsity.alpha", "1.5"),
-                            scope=_get(cfg, "sparsity.scope", "minority"))
-    except SkewbenchError as exc:
-        raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown method {name!r}; valid methods: base, ro, co, "
-                      f"smote, ncr, sparsity")
+    return _build(METHODS, "method", name, cfg)
 
 
 def build_classifier(name: str, cfg: dict[str, str]) -> ClassifierConfig:
-    name = name.strip().lower()
-    if name == "knn":
-        return KnnClassifier(k=_get_int(cfg, "knn.k", "3"))
-    if name == "tree":
-        return TreeClassifier(max_depth=_get_int(cfg, "tree.max_depth", "12"),
-                              min_leaf=_get_int(cfg, "tree.min_leaf", "2"))
-    raise ConfigError(f"unknown classifier {name!r}; valid classifiers: knn, tree")
+    return _build(CLASSIFIERS, "classifier", name, cfg)
 
 
 def build_experiment_spec(cfg: dict[str, str], seed: int | None = None) -> ExperimentSpec:
-    try:
-        subclusters = tuple(int(v) for v in _split_list(_get(cfg, "exp.subclusters", "2")))
-        sizes = tuple(int(v) for v in _split_list(_get(cfg, "exp.sizes", "400")))
-    except ValueError:
-        raise ConfigError("exp.subclusters and exp.sizes must be integer lists") from None
-    ratios = tuple(_parse_ratio(v, "exp.ratios")
-                   for v in _split_list(_get(cfg, "exp.ratios", "5:1")))
-    try:
-        disturbances = tuple(float(v)
-                             for v in _split_list(_get(cfg, "exp.disturbances", "0")))
-    except ValueError:
-        raise ConfigError("exp.disturbances must be a number list") from None
-    if any(not 0.0 <= d <= 1.0 for d in disturbances):
-        raise ConfigError("exp.disturbances values must lie in [0, 1]")
-    methods = tuple(build_method(name, cfg)
-                    for name in _split_list(_get(cfg, "exp.methods", "base")))
-    classifiers = tuple(build_classifier(name, cfg)
-                        for name in _split_list(_get(cfg, "exp.classifiers", "knn,tree")))
-    try:
-        return ExperimentSpec(
-            subclusters=subclusters,
-            sizes=sizes,
-            ratios=ratios,
-            disturbances=disturbances,
-            methods=methods,
-            classifiers=classifiers,
-            folds=_get_int(cfg, "exp.folds", "5"),
-            repeats=_get_int(cfg, "exp.repeats", "10"),
-            seed=seed if seed is not None else _get_int(cfg, "exp.seed", "0"),
-            profile=build_profile(cfg),
-        )
-    except ConfigError:
-        raise
-    except SkewbenchError as exc:
-        raise ConfigError(str(exc)) from None
+    def each(parse):
+        return lambda raw, key: tuple(parse(item, key) for item in _split_list(raw))
+
+    names = each(lambda item, key: item)
+    values = _values(ExperimentSpec, cfg, _exp_key, {
+        "subclusters": each(_parse_int), "sizes": each(_parse_int),
+        "ratios": each(_parse_ratio), "disturbances": each(_parse_float),
+        "methods": names, "classifiers": names})
+    for field, build in (("methods", build_method), ("classifiers", build_classifier)):
+        # Default methods and classifiers also take their parameters from cfg.
+        default = tuple(item.name for item in getattr(ExperimentSpec, field))
+        values[field] = tuple(build(name, cfg) for name in values.get(field, default))
+    if seed is not None:
+        values["seed"] = seed
+    values["template"] = build_gen_spec(cfg)
+    return _construct(ExperimentSpec, values)

@@ -63,9 +63,9 @@ def _even_split(total: int, groups: int) -> np.ndarray:
 class GenSpec:
     """Full recipe for one synthetic imbalanced dataset."""
 
-    n_samples: int
-    class_ratio: tuple[int, int]  # (majority parts, minority parts)
-    seed: RngSeed | int
+    n_samples: int = 400
+    class_ratio: tuple[int, int] = (79, 21)  # (majority parts, minority parts)
+    seed: RngSeed | int = 0
     dims: int = 2
     minority_subclusters: int = 2
     majority_subclusters: int = 1
@@ -87,12 +87,12 @@ class GenSpec:
             raise SkewbenchError("dims must be >= 1")
         if self.minority_subclusters < 1 or self.majority_subclusters < 1:
             raise SkewbenchError("sub-cluster counts must be >= 1")
-        if self.sub_sigma <= 0:
+        if not self.sub_sigma > 0:
             raise SkewbenchError("sub_sigma must be positive")
         low, high = self.center_box
-        if not (high > low):
-            raise SkewbenchError("center_box must be a nondegenerate interval")
-        if self.min_center_separation < 0:
+        if not (high > low and np.isfinite(high - low)):
+            raise SkewbenchError("center_box must be a nondegenerate finite interval")
+        if not self.min_center_separation >= 0:
             raise SkewbenchError("min_center_separation must be >= 0")
         for name in ("disturbance_ratio", "rare_fraction"):
             v = getattr(self, name)

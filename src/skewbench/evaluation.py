@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import knn_fit, knn_predict_batch, tree_fit, tree_predict_batch
+from .classify import (ClassifierConfig, KnnClassifier, TreeClassifier, knn_fit,
+                       knn_predict_batch, tree_fit, tree_predict_batch)
 from .core import Dataset, RngSeed, SkewbenchError, as_seed, summarize
 from .datagen import GenSpec, generate_imbalanced
 from .resample import Base, MethodConfig, apply_method
@@ -134,28 +135,6 @@ def stratified_kfold(ds: Dataset, folds: int, seed: RngSeed | int) -> np.ndarray
     return assignment
 
 
-@dataclass(frozen=True)
-class KnnClassifier:
-    k: int = 3
-
-    @property
-    def name(self) -> str:
-        return "knn"
-
-
-@dataclass(frozen=True)
-class TreeClassifier:
-    max_depth: int = 12
-    min_leaf: int = 2
-
-    @property
-    def name(self) -> str:
-        return "tree"
-
-
-ClassifierConfig = KnnClassifier | TreeClassifier
-
-
 def _fit_predict(clf: ClassifierConfig, train: Dataset, minority: int,
                  queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(clf, KnnClassifier):
@@ -203,18 +182,6 @@ def evaluate_folds(ds: Dataset, fold_assignment: np.ndarray,
 
 
 @dataclass(frozen=True)
-class GenProfile:
-    """Generator parameters shared by every grid cell."""
-
-    dims: int = 2
-    majority_subclusters: int = 1
-    sub_sigma: float = 1.0
-    center_box: tuple[float, float] = (0.0, 20.0)
-    min_center_separation: float = 5.0
-    rare_fraction: float = 0.0
-
-
-@dataclass(frozen=True)
 class CellKey:
     subclusters: int
     size: int
@@ -228,22 +195,30 @@ class CellKey:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    subclusters: tuple[int, ...]
-    sizes: tuple[int, ...]
-    ratios: tuple[tuple[int, int], ...]
-    disturbances: tuple[float, ...]
+    """The grid axes and CV protocol, plus the generator settings every cell shares.
+
+    Each cell generates from `template` with its own size, ratio, sub-cluster
+    count, disturbance and seed.
+    """
+
+    subclusters: tuple[int, ...] = (2,)
+    sizes: tuple[int, ...] = (400,)
+    ratios: tuple[tuple[int, int], ...] = ((5, 1),)
+    disturbances: tuple[float, ...] = (0.0,)
     methods: tuple[MethodConfig, ...] = (Base(),)
     classifiers: tuple[ClassifierConfig, ...] = (KnnClassifier(), TreeClassifier())
     folds: int = 5
     repeats: int = 10
     seed: int = 0
-    profile: GenProfile = field(default_factory=GenProfile)
+    template: GenSpec = field(default_factory=GenSpec)
 
     def __post_init__(self) -> None:
         for name in ("subclusters", "sizes", "ratios", "disturbances",
                      "methods", "classifiers"):
             if len(getattr(self, name)) == 0:
                 raise SkewbenchError(f"experiment grid field {name} must be nonempty")
+        if any(not 0.0 <= d <= 1.0 for d in self.disturbances):
+            raise SkewbenchError("experiment disturbances must lie in [0, 1]")
         if self.repeats < 1:
             raise SkewbenchError("repeats must be >= 1")
         if self.folds < 2:
@@ -285,20 +260,11 @@ class ExperimentReport:
 
 
 def _cell_gen_spec(spec: ExperimentSpec, cell: CellKey, seed: RngSeed) -> GenSpec:
-    p = spec.profile
-    return GenSpec(
-        n_samples=cell.size,
-        class_ratio=cell.ratio,
-        seed=seed,
-        dims=p.dims,
-        minority_subclusters=cell.subclusters,
-        majority_subclusters=p.majority_subclusters,
-        sub_sigma=p.sub_sigma,
-        center_box=p.center_box,
-        min_center_separation=p.min_center_separation,
-        disturbance_ratio=cell.disturbance,
-        rare_fraction=p.rare_fraction,
-    )
+    # safe_fraction stays derived: a fixed share could not sum to 1 with every
+    # disturbance on the grid.
+    return replace(spec.template, n_samples=cell.size, class_ratio=cell.ratio, seed=seed,
+                   minority_subclusters=cell.subclusters,
+                   disturbance_ratio=cell.disturbance, safe_fraction=None)
 
 
 def _run_unit(spec: ExperimentSpec, cell: CellKey, cell_index: int, repeat: int,
@@ -310,6 +276,17 @@ def _run_unit(spec: ExperimentSpec, cell: CellKey, cell_index: int, repeat: int,
     assignment = stratified_kfold(ds, spec.folds, unit_seed.child("folds"))
     return evaluate_folds(ds, assignment, spec.methods, spec.classifiers,
                           unit_seed, minority, subclusters_full=gt.subcluster_assignment)
+
+
+def aggregate(values: list[Metrics]) -> tuple[dict[str, float], dict[str, float]]:
+    """Per-metric mean and population std of `values`; NaN when there are none."""
+    means: dict[str, float] = {}
+    stds: dict[str, float] = {}
+    for metric in METRIC_NAMES:
+        data = np.array([getattr(v, metric) for v in values])
+        means[metric] = float(data.mean()) if len(data) else float("nan")
+        stds[metric] = float(data.std()) if len(data) else float("nan")
+    return means, stds
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -375,12 +352,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
         for method in spec.methods:
             for clf in spec.classifiers:
                 values = collected[(method.name, clf.name)]
-                means: dict[str, float] = {}
-                stds: dict[str, float] = {}
-                for metric in METRIC_NAMES:
-                    data = np.array([getattr(v, metric) for v in values])
-                    means[metric] = float(data.mean()) if len(data) else float("nan")
-                    stds[metric] = float(data.std()) if len(data) else float("nan")
+                means, stds = aggregate(values)
                 rows.append(ReportRow(cell=cell, method=method.name, classifier=clf.name,
                                       n_evals=len(values), means=means, stds=stds,
                                       error="; ".join(errors) if errors else None))

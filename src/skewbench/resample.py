@@ -33,11 +33,10 @@ class RO:
 class CO:
     """Cluster oversampling: every minority sub-cluster grows to equal size.
 
-    `clusters` is an explicit per-minority-point sub-cluster assignment; when
-    None the sub-clusters are discovered with MeanShift.
+    Sub-clusters come from the caller's assignment when one is known, else
+    from MeanShift.
     """
 
-    clusters: np.ndarray | None = None
     name = "co"
 
 
@@ -83,7 +82,7 @@ class Sparsity:
     name = "sparsity"
 
     def __post_init__(self) -> None:
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:
             raise SkewbenchError("sparsity alpha must be >= 1")
         if self.scope not in ("minority", "both"):
             raise SkewbenchError("sparsity scope must be 'minority' or 'both'")
@@ -91,7 +90,9 @@ class Sparsity:
 
 MethodConfig = Base | RO | CO | SMOTE | NCR | Sparsity
 
-METHOD_NAMES = ("base", "ro", "co", "smote", "ncr", "sparsity")
+METHODS = (Base, RO, CO, SMOTE, NCR, Sparsity)
+
+METHOD_NAMES = tuple(method.name for method in METHODS)
 
 
 def _concat_kinds(ds: Dataset, extra_rows: np.ndarray) -> np.ndarray | None:
@@ -202,7 +203,7 @@ def _knn_table(points: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(sq, axis=1, kind="stable")[:, :k]
 
 
-def ncr(ds: Dataset, k: int = 3) -> Dataset:
+def ncr(ds: Dataset, k: int = NCR.k) -> Dataset:
     """Laurikkala-style neighborhood cleaning with k-NN votes.
 
     Phase one removes every majority point whose k nearest neighbors vote it
@@ -229,7 +230,7 @@ def ncr(ds: Dataset, k: int = 3) -> Dataset:
     return ds.subset(np.flatnonzero(~removed))
 
 
-def sparsity(ds: Dataset, alpha: float, scope: str = "minority",
+def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,
              minority_clusters: np.ndarray | None = None,
              majority_clusters: np.ndarray | None = None,
              quantile: float = DEFAULT_QUANTILE) -> Dataset:
@@ -266,16 +267,14 @@ def apply_method(ds: Dataset, method: MethodConfig, rng: np.random.Generator | N
     """Dispatch one method configuration against a dataset.
 
     `minority_clusters` supplies a known sub-cluster assignment (for example
-    from generator ground truth) to CO and Sparsity when their configuration
-    does not carry one.
+    from generator ground truth) to CO and Sparsity.
     """
     if isinstance(method, Base):
         return ds
     if isinstance(method, RO):
         return random_oversample(ds, _require_rng(rng))
     if isinstance(method, CO):
-        clusters = method.clusters if method.clusters is not None else minority_clusters
-        return cluster_oversample(ds, _require_rng(rng), clusters=clusters)
+        return cluster_oversample(ds, _require_rng(rng), clusters=minority_clusters)
     if isinstance(method, SMOTE):
         return smote(ds, method.k, method.amount_pct, _require_rng(rng))
     if isinstance(method, NCR):

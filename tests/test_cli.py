@@ -1,13 +1,20 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewbench.cli import main
-from skewbench.config import ConfigError, load_config, parse_config_text
+from skewbench.config import (KNOWN_KEYS, ConfigError, load_config,
+                              parse_config_text)
 from skewbench.core import Dataset, ExampleKind, SkewbenchError
 from skewbench.datagen import GenSpec, generate_imbalanced
 from skewbench.io import (dataset_to_csv_text, read_dataset_csv,
                           write_dataset_csv)
 from skewbench.plotting import scatter_svg
+from skewbench.resample import METHOD_NAMES
 
 
 class TestCsvRoundTrip:
@@ -287,3 +294,71 @@ class TestPlotCommand:
         assert "stroke-dasharray" in svg  # borderline rings
         svg_plain = scatter_svg(read_dataset_csv(path), show_kinds=False)
         assert "stroke-dasharray" not in svg_plain
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command,config", [
+        ("generate", "gen.safe_fraction = abc"),
+        ("generate", "gen.box = 0,inf"),
+        ("generate", "gen.box = -1e308,1e308"),
+        ("generate", "gen.sub_sigma = nan"),
+        ("experiment", "exp.methods = sparsity\nsparsity.alpha = nan"),
+    ])
+    def test_bad_number_exit_2(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", ["knn.k = 0", "tree.max_depth = -1",
+                                        "tree.min_leaf = 0"])
+    def test_bad_classifier_exit_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\nexp.sizes = 60\nexp.repeats = 1\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def no_memory(spec):
+            raise MemoryError("Unable to allocate 35.3 GiB for an array")
+
+        monkeypatch.setattr("skewbench.cli.generate_imbalanced", no_memory)
+        code = main(["generate", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 35.3 GiB for an array\n"
+
+
+# None of these values can ask for a large allocation: counts stay below 2
+# and 1e308 parses only as a float.
+FUZZ_VALUES = ("abc", "nan", "inf", "-1", "0", "1e308", "1:0", "0,inf", "")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    ds, _ = generate_imbalanced(GenSpec(n_samples=60, class_ratio=(4, 1), seed=1,
+                                        center_box=(0.0, 12.0),
+                                        min_center_separation=3.0))
+    write_dataset_csv(ds, path / "in.csv")
+    return path
+
+
+@settings(max_examples=30, deadline=None)
+@given(entries=st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)),
+                               st.sampled_from(FUZZ_VALUES), max_size=3),
+       method=st.sampled_from(METHOD_NAMES))
+def test_fuzzed_config_never_crashes(fuzz_dir, entries, method):
+    cfg = fuzz_dir / "fuzz.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    for argv in (["generate", "--out", str(fuzz_dir / "gen.csv")],
+                 ["resample", str(fuzz_dir / "in.csv"), "--method", method,
+                  "--out", str(fuzz_dir / "res.csv")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", str(cfg)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

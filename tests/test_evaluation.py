@@ -7,7 +7,7 @@ from skewbench.core import Dataset, RngSeed, SkewbenchError, summarize
 from skewbench.datagen import GenSpec, generate_imbalanced
 from skewbench.classify import knn_fit, knn_predict_batch, tree_fit, tree_predict_batch
 from skewbench.evaluation import (ConfusionMatrix, ExperimentSpec,
-                                  GenProfile, KnnClassifier, TreeClassifier,
+                                  KnnClassifier, TreeClassifier,
                                   auc, confusion, evaluate_folds, gmean,
                                   metrics_from, pivot_text,
                                   report_to_csv_text, run_experiment,
@@ -163,7 +163,7 @@ def small_spec(**overrides):
         subclusters=(2,), sizes=(120,), ratios=((5, 1),), disturbances=(0.2,),
         methods=(Base(), RO()), classifiers=(KnnClassifier(k=3),),
         folds=3, repeats=2, seed=11,
-        profile=GenProfile(center_box=(0.0, 12.0), min_center_separation=3.0))
+        template=GenSpec(center_box=(0.0, 12.0), min_center_separation=3.0))
     defaults.update(overrides)
     return ExperimentSpec(**defaults)
 
