@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, SkewbenchError, summarize
+from .core import Dataset, SkewbenchError, nearest, summarize
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if q.shape[1] != model.train.d:
         raise SkewbenchError("query dimension does not match training data")
-    sq = ((q[:, None, :] - model.train.points[None, :, :]) ** 2).sum(-1)
-    order = np.argsort(sq, axis=1, kind="stable")[:, : model.k]
+    order = nearest(model.train.points, q, model.k)
     if model.minority_label is None:
         return (np.full(len(q), model.majority_label, dtype=np.int64),
                 np.zeros(len(q)))

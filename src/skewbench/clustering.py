@@ -7,7 +7,7 @@ from math import ceil
 
 import numpy as np
 
-from .core import SkewbenchError, _frozen_array
+from .core import SkewbenchError, _frozen_array, pairwise_sq
 
 DEFAULT_QUANTILE = 0.3
 DEFAULT_MAX_ITER = 300
@@ -32,10 +32,6 @@ class ClusterModel:
         return len(self.centers)
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
-
-
 def estimate_bandwidth(points, quantile: float = DEFAULT_QUANTILE) -> float:
     """Mean distance from each point to its ceil(quantile*(n-1))-th neighbor."""
     pts = np.asarray(points, dtype=np.float64)
@@ -45,7 +41,7 @@ def estimate_bandwidth(points, quantile: float = DEFAULT_QUANTILE) -> float:
     if not (0.0 < quantile <= 1.0):
         raise SkewbenchError("quantile must lie in (0, 1]")
     j = ceil(quantile * (n - 1))
-    sq = _pairwise_sq(pts, pts)
+    sq = pairwise_sq(pts, pts)
     sq.sort(axis=1)
     # Column 0 is the zero self-distance, so the j-th neighbor sits at column j.
     bandwidth = float(np.mean(np.sqrt(sq[:, j])))
@@ -85,7 +81,7 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
         idx = np.flatnonzero(active)
         if len(idx) == 0:
             break
-        within = _pairwise_sq(modes[idx], pts) <= sq_bw
+        within = pairwise_sq(modes[idx], pts) <= sq_bw
         counts = within.sum(axis=1)
         has_any = counts > 0
         # Seeds with an empty window stay put: isolated points are their own modes.
@@ -97,7 +93,7 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
         modes[idx] = shifted
         active[idx[(moved < tol) | ~has_any]] = False
 
-    strength = (_pairwise_sq(modes, pts) <= sq_bw).sum(axis=1)
+    strength = (pairwise_sq(modes, pts) <= sq_bw).sum(axis=1)
     order = np.lexsort((np.arange(len(modes)), -strength))
     kept: list[int] = []
     half_sq = (bandwidth / 2.0) ** 2
@@ -106,9 +102,9 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
             kept.append(i)
     centers = modes[kept]
 
-    assignment = np.argmin(_pairwise_sq(pts, centers), axis=1)
+    assignment = np.argmin(pairwise_sq(pts, centers), axis=1)
     used = np.unique(assignment)
     if len(used) < len(centers):
         centers = centers[used]
-        assignment = np.argmin(_pairwise_sq(pts, centers), axis=1)
+        assignment = np.argmin(pairwise_sq(pts, centers), axis=1)
     return ClusterModel(centers=centers, assignment=assignment, bandwidth=float(bandwidth))

@@ -134,13 +134,39 @@ def euclidean(a, b) -> float:
     return float(np.sqrt(np.sum((pa - pb) ** 2)))
 
 
-def squared_distances(points: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Exact squared L2 distance from every row of `points` to `query`.
+# Row blocks of `nearest` are sized so that each block's difference
+# temporary stays near this many bytes: memory is O(block * n), not O(n * n * d).
+_BLOCK_BYTES = 1 << 20
+
+
+def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact squared L2 distance between every row of `a` and every row of `b`.
 
     Computed per pair as sum((a-b)^2); the expanded a^2+b^2-2ab form is
     avoided because its rounding can reorder genuinely tied distances.
     """
-    return np.sum((points - query) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+    if not np.all(np.isfinite(sq)):
+        raise SkewbenchError("squared distances overflow: coordinates too far apart")
+    return sq
+
+
+def nearest(points: np.ndarray, queries: np.ndarray, k: int,
+            exclude: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the k nearest `points` to each query row, ascending by distance.
+
+    Tied distances break toward the lower point index. `exclude` names one
+    point index per query that is never its neighbor (self-exclusion).
+    """
+    rows = max(1, _BLOCK_BYTES // (8 * points.size))
+    out = np.empty((len(queries), k), dtype=np.intp)
+    for start in range(0, len(queries), rows):
+        sq = pairwise_sq(queries[start:start + rows], points)
+        if exclude is not None:
+            sq[np.arange(len(sq)), exclude[start:start + rows]] = np.inf
+        out[start:start + rows] = np.argsort(sq, axis=1, kind="stable")[:, :k]
+    return out
 
 
 def knn_indices(train: Dataset, query, k: int, exclude: int | None = None) -> np.ndarray:
@@ -155,12 +181,7 @@ def knn_indices(train: Dataset, query, k: int, exclude: int | None = None) -> np
     usable = train.n - (1 if exclude is not None else 0)
     if k < 1 or k > usable:
         raise SkewbenchError(f"k={k} outside valid range 1..{usable}")
-    sq = squared_distances(train.points, q)
-    if exclude is not None:
-        sq = sq.copy()
-        sq[exclude] = np.inf
-    order = np.argsort(sq, kind="stable")
-    return order[:k]
+    return nearest(train.points, q[None, :], k, None if exclude is None else [exclude])[0]
 
 
 def _mix64(z: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dataset, ExampleKind, RngSeed, SkewbenchError, as_seed,
-                   _frozen_array)
+                   _frozen_array, pairwise_sq)
 
 MAJORITY_LABEL = 0
 MINORITY_LABEL = 1
@@ -319,7 +319,7 @@ def inject_rare(points: np.ndarray, minority_centers: np.ndarray,
             else:
                 jitter = RARE_PAIR_JITTER_SIGMA * sub_sigma * rng.standard_normal((2, dims))
                 candidate = locus[None, :] + jitter
-            gaps = np.sqrt(((candidate[:, None, :] - minority_centers[None, :, :]) ** 2).sum(-1))
+            gaps = np.sqrt(pairwise_sq(candidate, minority_centers))
             if np.all(gaps > exclusion):
                 break
         for row in candidate:
@@ -329,6 +329,7 @@ def inject_rare(points: np.ndarray, minority_centers: np.ndarray,
     return points, kinds
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_imbalanced(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
     """Run the full generation pipeline for one GenSpec.
 
@@ -365,6 +366,8 @@ def generate_imbalanced(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
                              np.full(n_min, MINORITY_LABEL, dtype=np.int64)])
     kinds = np.concatenate([np.full(n_maj, int(ExampleKind.MAJORITY), dtype=np.uint8),
                             min_kinds])
+    if not np.all(np.isfinite(points)):
+        raise SkewbenchError(f"sub_sigma={spec.sub_sigma:g} is too large: coordinates overflow")
     ds = Dataset(points, labels, kinds)
     gt = GroundTruth(minority_centers=minority_centers,
                      majority_centers=majority_centers,

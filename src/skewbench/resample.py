@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import DEFAULT_QUANTILE, estimate_bandwidth, mean_shift
-from .core import Dataset, SkewbenchError, summarize
+from .core import Dataset, SkewbenchError, nearest, summarize
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,7 @@ def smote(ds: Dataset, k: int, amount_pct: int, rng: np.random.Generator) -> Dat
     if n_min <= k:
         raise SkewbenchError(f"minority count {n_min} must exceed k={k}")
     minority = ds.points[minority_rows]
-    sq = ((minority[:, None, :] - minority[None, :, :]) ** 2).sum(-1)
-    np.fill_diagonal(sq, np.inf)
-    neighbors = np.argsort(sq, axis=1, kind="stable")[:, :k]
+    neighbors = nearest(minority, minority, k, exclude=np.arange(n_min))
 
     copies = amount_pct // 100
     nn_pick = rng.integers(0, k, size=(n_min, copies))
@@ -197,12 +195,6 @@ def smote(ds: Dataset, k: int, amount_pct: int, rng: np.random.Generator) -> Dat
     return Dataset(points, labels, kinds)
 
 
-def _knn_table(points: np.ndarray, k: int) -> np.ndarray:
-    sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)
-    np.fill_diagonal(sq, np.inf)
-    return np.argsort(sq, axis=1, kind="stable")[:, :k]
-
-
 def ncr(ds: Dataset, k: int = NCR.k) -> Dataset:
     """Laurikkala-style neighborhood cleaning with k-NN votes.
 
@@ -216,7 +208,7 @@ def ncr(ds: Dataset, k: int = NCR.k) -> Dataset:
     s = summarize(ds)
     if ds.n <= k:
         raise SkewbenchError(f"need more than k={k} points to take k-NN votes")
-    neighbors = _knn_table(ds.points, k)
+    neighbors = nearest(ds.points, ds.points, k, exclude=np.arange(ds.n))
     minority_votes = (ds.labels[neighbors] == s.minority_label).sum(axis=1)
     predicted_minority = minority_votes * 2 > k
 
@@ -258,7 +250,10 @@ def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,
         for j in np.unique(clusters):
             members = rows[clusters == j]
             center = points[members].mean(axis=0)
-            points[members] = center + alpha * (points[members] - center)
+            with np.errstate(over="ignore"):
+                points[members] = center + alpha * (points[members] - center)
+    if not np.all(np.isfinite(points)):
+        raise SkewbenchError(f"sparsity alpha={alpha:g} is too large: coordinates overflow")
     return Dataset(points, ds.labels, ds.kinds)
 
 

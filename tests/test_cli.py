@@ -312,6 +312,38 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # Warnings are errors here: a numpy RuntimeWarning would otherwise be
+    # hidden by pytest's capture while the error line still looked right.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command,config,named", [
+        ("generate", "gen.sub_sigma = 1e308", "sub_sigma"),
+        ("resample", "sparsity.alpha = 1e308", "alpha"),
+    ])
+    def test_overflowing_number_exit_1(self, tmp_path, capsys, command, config, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        if command == "resample":
+            ds, _ = generate_imbalanced(GenSpec(seed=5))
+            write_dataset_csv(ds, tmp_path / "in.csv")
+            argv += [str(tmp_path / "in.csv"), "--method", "sparsity"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["resample", "--method", "ncr"],
+                                      ["resample", "--method", "smote"], ["eval"]])
+    def test_overflowing_distances_exit_1(self, tmp_path, capsys, argv):
+        rng = np.random.default_rng(0)
+        huge = Dataset(rng.uniform(-1e200, 1e200, size=(40, 2)), np.repeat([0, 1], [30, 10]))
+        write_dataset_csv(huge, tmp_path / "huge.csv")
+        if argv[0] == "resample":
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        assert main(argv + [str(tmp_path / "huge.csv")]) == 1
+        assert capsys.readouterr().err == ("error: squared distances overflow: "
+                                           "coordinates too far apart\n")
+
     @pytest.mark.parametrize("config", ["knn.k = 0", "tree.max_depth = -1",
                                         "tree.min_leaf = 0"])
     def test_bad_classifier_exit_2(self, tmp_path, capsys, config):

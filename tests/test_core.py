@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewbench import core
+from skewbench.classify import knn_fit, knn_predict_batch
 from skewbench.core import (Dataset, ExampleKind, RngSeed, SkewbenchError,
-                            derive_seed, euclidean, knn_indices, summarize)
+                            derive_seed, euclidean, knn_indices, nearest,
+                            summarize)
+from skewbench.resample import ncr, smote
 
 
 def make_dataset(counts: dict[int, int]) -> Dataset:
@@ -117,6 +122,72 @@ class TestKnnIndices:
         assert got.tolist() == [1, 2]
         with pytest.raises(SkewbenchError, match="k="):
             knn_indices(train, [0.1], k=3, exclude=0)
+
+
+def lattice_dataset(n: int = 47, seed: int = 2) -> Dataset:
+    # Small-integer coordinates make every squared distance exact, so ties are common.
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.integers(0, 5, size=(n, 2)).astype(np.float64),
+                   (rng.random(n) < 0.35).astype(int))
+
+
+def brute_nearest(points, queries, k, exclude=None) -> np.ndarray:
+    rows = []
+    for i, q in enumerate(queries):
+        candidates = [j for j in range(len(points)) if exclude is None or j != exclude[i]]
+        rows.append(sorted(candidates,
+                           key=lambda j: (float(np.sum((points[j] - q) ** 2)), j))[:k])
+    return np.array(rows)
+
+
+class TestNearest:
+    # 47 points and 31 queries: with 1-3 rows per block the last block is partial.
+    def use_rows(self, monkeypatch, rows, points):
+        if rows is not None:
+            monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * points.size)
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3])
+    def test_matches_brute_force_on_lattice_ties(self, monkeypatch, rows):
+        pts = lattice_dataset().points
+        queries = pts[:31] + 0.5 * (np.arange(31) % 2)[:, None]
+        self_ex = np.arange(len(pts))
+        self.use_rows(monkeypatch, rows, pts)
+        assert np.array_equal(nearest(pts, queries, 6), brute_nearest(pts, queries, 6))
+        assert np.array_equal(nearest(pts, pts, 6, exclude=self_ex),
+                              brute_nearest(pts, pts, 6, exclude=self_ex))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_callers_independent_of_block_size(self, monkeypatch, rows):
+        ds = lattice_dataset()
+        queries = ds.points[:31] + 0.25
+        model = knn_fit(ds, k=5)
+        minority = ds.points[ds.labels == summarize(ds).minority_label]
+
+        def outputs(rows):
+            self.use_rows(monkeypatch, rows, ds.points)
+            got = [nearest(ds.points, queries, 5),
+                   nearest(ds.points, ds.points, 5, exclude=np.arange(ds.n)),
+                   ncr(ds, k=3).points, *knn_predict_batch(model, queries)]
+            self.use_rows(monkeypatch, rows, minority)
+            return got + [smote(ds, 3, 200, np.random.default_rng(7)).points]
+
+        for want, got in zip(outputs(None), outputs(rows), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("call", ["ncr", "knn_predict_batch"])
+    def test_peak_memory_bounded_at_n2000(self, call):
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.normal(size=(2000, 2)), (rng.random(2000) < 0.3).astype(int))
+        model = knn_fit(ds, k=5)
+        run = {"ncr": lambda: ncr(ds, k=3),
+               "knn_predict_batch": lambda: knn_predict_batch(model, ds.points)}[call]
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDataset:
