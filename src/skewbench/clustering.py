@@ -7,7 +7,7 @@ from math import ceil
 
 import numpy as np
 
-from .core import SkewbenchError, _frozen_array, pairwise_sq
+from .core import SkewbenchError, _frozen_array, _row_blocks, pairwise_sq
 
 DEFAULT_QUANTILE = 0.3
 DEFAULT_MAX_ITER = 300
@@ -41,10 +41,11 @@ def estimate_bandwidth(points, quantile: float = DEFAULT_QUANTILE) -> float:
     if not (0.0 < quantile <= 1.0):
         raise SkewbenchError("quantile must lie in (0, 1]")
     j = ceil(quantile * (n - 1))
-    sq = pairwise_sq(pts, pts)
-    sq.sort(axis=1)
-    # Column 0 is the zero self-distance, so the j-th neighbor sits at column j.
-    bandwidth = float(np.mean(np.sqrt(sq[:, j])))
+    # A sorted row starts with the zero self-distance: the j-th neighbor is at index j.
+    kth = np.empty(n)
+    for rows in _row_blocks(n, pts):
+        kth[rows] = np.partition(pairwise_sq(pts[rows], pts), j, axis=1)[:, j]
+    bandwidth = float(np.mean(np.sqrt(kth)))
     if bandwidth == 0.0:
         raise SkewbenchError("zero bandwidth: all points identical")
     return bandwidth
@@ -81,19 +82,15 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
         idx = np.flatnonzero(active)
         if len(idx) == 0:
             break
-        within = pairwise_sq(modes[idx], pts) <= sq_bw
-        counts = within.sum(axis=1)
-        has_any = counts > 0
-        # Seeds with an empty window stay put: isolated points are their own modes.
-        shifted = modes[idx].copy()
-        if has_any.any():
-            sums = (within[has_any][:, :, None] * pts[None, :, :]).sum(axis=1)
-            shifted[has_any] = sums / counts[has_any][:, None]
-        moved = np.sqrt(((shifted - modes[idx]) ** 2).sum(axis=1))
-        modes[idx] = shifted
-        active[idx[(moved < tol) | ~has_any]] = False
+        for rows in _row_blocks(len(idx), pts):
+            part = idx[rows]
+            shifted, has_any = _shift(pts, modes[part], sq_bw)
+            moved = np.sqrt(((shifted - modes[part]) ** 2).sum(axis=1))
+            modes[part] = shifted
+            active[part[(moved < tol) | ~has_any]] = False
 
-    strength = (pairwise_sq(modes, pts) <= sq_bw).sum(axis=1)
+    strength = np.concatenate([(pairwise_sq(modes[rows], pts) <= sq_bw).sum(axis=1)
+                               for rows in _row_blocks(len(modes), pts)])
     order = np.lexsort((np.arange(len(modes)), -strength))
     kept: list[int] = []
     half_sq = (bandwidth / 2.0) ** 2
@@ -108,3 +105,29 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
         centers = centers[used]
         assignment = np.argmin(pairwise_sq(pts, centers), axis=1)
     return ClusterModel(centers=centers, assignment=assignment, bandwidth=float(bandwidth))
+
+
+def _shift(pts: np.ndarray, seeds: np.ndarray, sq_bw: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the points in each seed's window, and which windows hold any.
+
+    Same bits as the sum over n of a (seeds, n, d) product, which numpy adds
+    in index order except at d = 1, where n is the contiguous axis and is
+    added pairwise. A lone seed's (n, 1) column would also be added pairwise.
+    """
+    if pts.shape[1] == 1:
+        within = pairwise_sq(seeds, pts) <= sq_bw
+        counts = within.sum(axis=1)
+        sums = (within * pts[:, 0]).sum(axis=1)[:, None]
+    else:
+        within = pairwise_sq(pts, seeds) <= sq_bw
+        counts = within.sum(axis=0)
+        if len(seeds) == 1:
+            sums = (within * pts).sum(axis=0)[None]
+        else:
+            sums = np.stack([(within * pts[:, j, None]).sum(axis=0)
+                             for j in range(pts.shape[1])], axis=1)
+    has_any = counts > 0
+    # Seeds with an empty window stay put: isolated points are their own modes.
+    shifted = seeds.copy()
+    shifted[has_any] = sums[has_any] / counts[has_any][:, None]
+    return shifted, has_any

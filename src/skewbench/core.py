@@ -134,19 +134,33 @@ def euclidean(a, b) -> float:
     return float(np.sqrt(np.sum((pa - pb) ** 2)))
 
 
-# Row blocks of `nearest` are sized so that each block's difference
-# temporary stays near this many bytes: memory is O(block * n), not O(n * n * d).
+# Row blocks of `nearest` and MeanShift are sized so that each block's
+# temporaries stay near this many bytes: memory is O(block * n), not O(n * n * d).
 _BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(count: int, points: np.ndarray) -> list[slice]:
+    """Slices over `count` query rows, each a block against all of `points`."""
+    size = max(1, _BLOCK_BYTES // (8 * points.size))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
 def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact squared L2 distance between every row of `a` and every row of `b`.
 
     Computed per pair as sum((a-b)^2); the expanded a^2+b^2-2ab form is
-    avoided because its rounding can reorder genuinely tied distances.
+    avoided because its rounding can reorder genuinely tied distances. Below
+    8 columns numpy sums a row from left to right, so adding the columns in
+    order gives the same bits with no n x m x d temporary; from 8 it sums
+    pairwise, which the broadcast form keeps.
     """
     with np.errstate(over="ignore"):
-        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+        if a.shape[1] < 8:
+            sq = (a[:, 0, None] - b[None, :, 0]) ** 2
+            for j in range(1, a.shape[1]):
+                sq += (a[:, j, None] - b[None, :, j]) ** 2
+        else:
+            sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
     if not np.all(np.isfinite(sq)):
         raise SkewbenchError("squared distances overflow: coordinates too far apart")
     return sq
@@ -159,14 +173,30 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int,
     Tied distances break toward the lower point index. `exclude` names one
     point index per query that is never its neighbor (self-exclusion).
     """
-    rows = max(1, _BLOCK_BYTES // (8 * points.size))
     out = np.empty((len(queries), k), dtype=np.intp)
-    for start in range(0, len(queries), rows):
-        sq = pairwise_sq(queries[start:start + rows], points)
+    for rows in _row_blocks(len(queries), points):
+        sq = pairwise_sq(queries[rows], points)
         if exclude is not None:
-            sq[np.arange(len(sq)), exclude[start:start + rows]] = np.inf
-        out[start:start + rows] = np.argsort(sq, axis=1, kind="stable")[:, :k]
+            sq[np.arange(len(sq)), exclude[rows]] = np.inf
+        out[rows] = _topk(sq, k)
     return out
+
+
+def _topk(sq: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of each row's stable argsort, without sorting the rows."""
+    if k >= sq.shape[1]:
+        return np.argsort(sq, axis=1, kind="stable")[:, :k]
+    kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
+    take = sq < kth
+    tied = sq == kth
+    need = k - take.sum(axis=1)
+    over = tied.sum(axis=1) > need
+    if over.any():
+        tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
+    take |= tied
+    cols = np.nonzero(take)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(sq, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def knn_indices(train: Dataset, query, k: int, exclude: int | None = None) -> np.ndarray:

@@ -9,6 +9,7 @@ that with zero disturbance the classes do not overlap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,22 @@ RARE_EXCLUSION_SIGMA = 3.0
 RARE_BALL_SIGMA = 2.0
 RARE_PAIR_PROBABILITY = 0.5
 RARE_PAIR_JITTER_SIGMA = 0.1
+# Farthest a generated point lies from its center, in sub_sigma: a borderline
+# point within 4, a rare one within 2 plus its jitter, and a blob point within
+# 12.3, beyond the largest draw numpy's ziggurat tail makes from 53-bit uniforms.
+REACH_SIGMA = 13.0
+
+# Largest n_samples a GenSpec accepts. Generation holds n * dims float64
+# coordinates and the k-NN and MeanShift work grows as n^2, so a larger
+# dataset could not be processed; it is refused before anything is allocated.
+MAX_SAMPLES = 10_000_000
+
+
+def squares_overflow(span: float, dims: int) -> bool:
+    """Whether points `span` apart on each of `dims` axes are too far apart for
+    their squared distance to be a finite float. Takes Python floats, which
+    overflow to inf without a warning."""
+    return not math.isfinite(dims * span * span)
 
 
 def largest_remainder(weights, total: int) -> np.ndarray:
@@ -81,8 +98,9 @@ class GenSpec:
         maj_parts, min_parts = self.class_ratio
         if min_parts < 1 or maj_parts < min_parts:
             raise SkewbenchError("class_ratio must be (majority_parts >= minority_parts >= 1)")
-        if self.n_samples < 2:
-            raise SkewbenchError("n_samples must be at least 2")
+        if not 2 <= self.n_samples <= MAX_SAMPLES:
+            raise SkewbenchError(f"n_samples must lie in [2, {MAX_SAMPLES}], "
+                                 f"got {self.n_samples}")
         if self.dims < 1:
             raise SkewbenchError("dims must be >= 1")
         if self.minority_subclusters < 1 or self.majority_subclusters < 1:
@@ -92,6 +110,10 @@ class GenSpec:
         low, high = self.center_box
         if not (high > low and np.isfinite(high - low)):
             raise SkewbenchError("center_box must be a nondegenerate finite interval")
+        if squares_overflow(self.span(), self.dims):
+            raise SkewbenchError(
+                f"sub_sigma={self.sub_sigma:g} with center_box width {high - low:g} "
+                f"in {self.dims} dims is too large: squared distances overflow")
         if not self.min_center_separation >= 0:
             raise SkewbenchError("min_center_separation must be >= 0")
         for name in ("disturbance_ratio", "rare_fraction"):
@@ -113,6 +135,14 @@ class GenSpec:
             raise SkewbenchError("minority count smaller than minority_subclusters")
         if n_maj < self.majority_subclusters:
             raise SkewbenchError("majority count smaller than majority_subclusters")
+
+    def span(self) -> float:
+        """Bound on how far apart two generated points lie along any axis.
+
+        Every point lies within REACH_SIGMA * sub_sigma of a center in center_box.
+        """
+        low, high = self.center_box
+        return float(high - low) + 2.0 * REACH_SIGMA * float(self.sub_sigma)
 
     def class_counts(self) -> tuple[int, int]:
         """(majority, minority) counts from the rounding rule on the ratio."""
@@ -329,7 +359,6 @@ def inject_rare(points: np.ndarray, minority_centers: np.ndarray,
     return points, kinds
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def generate_imbalanced(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
     """Run the full generation pipeline for one GenSpec.
 
@@ -366,8 +395,6 @@ def generate_imbalanced(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
                              np.full(n_min, MINORITY_LABEL, dtype=np.int64)])
     kinds = np.concatenate([np.full(n_maj, int(ExampleKind.MAJORITY), dtype=np.uint8),
                             min_kinds])
-    if not np.all(np.isfinite(points)):
-        raise SkewbenchError(f"sub_sigma={spec.sub_sigma:g} is too large: coordinates overflow")
     ds = Dataset(points, labels, kinds)
     gt = GroundTruth(minority_centers=minority_centers,
                      majority_centers=majority_centers,

@@ -312,11 +312,30 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    # Warnings are errors here: a numpy RuntimeWarning would otherwise be
-    # hidden by pytest's capture while the error line still looked right.
+    # Values no run could work with are refused when the config is built,
+    # before anything is allocated or generated. Warnings are errors here and
+    # below: a numpy RuntimeWarning would otherwise be hidden by pytest's
+    # capture while the error line still looked right.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command,config,named", [
+        ("generate", "gen.n_samples = 3000000000", "n_samples"),
+        ("generate", "gen.sub_sigma = 1e200", "sub_sigma"),
         ("generate", "gen.sub_sigma = 1e308", "sub_sigma"),
+        ("generate", "gen.box = -1e200,1e200", "center_box"),
+        ("experiment", "exp.methods = sparsity\nsparsity.alpha = 1e308", "alpha"),
+    ])
+    def test_unworkable_number_exit_2(self, tmp_path, capsys, command, config, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\nexp.sizes = 60\nexp.repeats = 1\n"
+                       if command == "experiment" else config + "\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "out").exists()
+
+    # A CSV has no generator spec to bound, so the overflow shows when it happens.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command,config,named", [
         ("resample", "sparsity.alpha = 1e308", "alpha"),
     ])
     def test_overflowing_number_exit_1(self, tmp_path, capsys, command, config, named):

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import reference_clustering as reference
+from skewbench import core
 from skewbench.clustering import estimate_bandwidth, mean_shift
 from skewbench.core import RngSeed, SkewbenchError
 from skewbench.datagen import GenSpec, generate_blobs, generate_imbalanced
@@ -121,3 +125,52 @@ class TestMeanShift:
             mean_shift(pts, bandwidth=1.0, max_iter=0)
         with pytest.raises(SkewbenchError):
             mean_shift(pts, bandwidth=1.0, tol=-1.0)
+
+
+def oracle_points(kind: str, dims: int) -> np.ndarray:
+    rng = np.random.default_rng(dims)
+    if kind == "lattice":  # exact ties among distances and window edges
+        return rng.integers(0, 4, size=(90, dims)).astype(np.float64)
+    centers = rng.uniform(0, 12, size=(3, dims))
+    return np.vstack([c + rng.normal(size=(30, dims)) for c in centers])
+
+
+class TestReferenceOracle:
+    """Bit-for-bit against the frozen pre-blocking code in reference_clustering.
+
+    Blocks of 1-3 seeds make lone-seed blocks and partial last blocks; far
+    seeds have empty windows, so only a subset of each block moves.
+    """
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("dims", [1, 2, 3, 9])
+    @pytest.mark.parametrize("kind", ["random", "lattice"])
+    def test_bits_equal_reference(self, monkeypatch, kind, dims, rows):
+        pts = oracle_points(kind, dims)
+        if rows is not None:
+            monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * pts.size)
+        bandwidth = estimate_bandwidth(pts, 0.3)
+        want = reference.estimate_bandwidth(pts, 0.3)
+        assert np.float64(bandwidth).view(np.uint64) == np.float64(want).view(np.uint64)
+        far = pts[::7] + 100.0
+        for seeds in (None, np.vstack([pts[::3], far])):
+            for scale in (1.0, 0.4):
+                got = mean_shift(pts, scale * bandwidth, seeds=seeds)
+                centers, assignment = reference.mean_shift(pts, scale * bandwidth,
+                                                           seeds=seeds)
+                assert np.array_equal(got.centers.view(np.uint64), centers.view(np.uint64))
+                assert np.array_equal(got.assignment, assignment)
+
+
+@pytest.mark.parametrize("call", ["estimate_bandwidth", "mean_shift"])
+def test_peak_memory_bounded_at_n2000(call):
+    pts = np.random.default_rng(4).normal(size=(2000, 2))
+    run = {"estimate_bandwidth": lambda: estimate_bandwidth(pts, 0.3),
+           "mean_shift": lambda: mean_shift(pts, 0.5, max_iter=3)}[call]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -10,7 +10,7 @@ from skewbench import core
 from skewbench.classify import knn_fit, knn_predict_batch
 from skewbench.core import (Dataset, ExampleKind, RngSeed, SkewbenchError,
                             derive_seed, euclidean, knn_indices, nearest,
-                            summarize)
+                            pairwise_sq, summarize)
 from skewbench.resample import ncr, smote
 
 
@@ -156,6 +156,48 @@ class TestNearest:
         assert np.array_equal(nearest(pts, pts, 6, exclude=self_ex),
                               brute_nearest(pts, pts, 6, exclude=self_ex))
 
+    # Three values on a 2-D lattice: each squared distance is one of a few
+    # integers, so the k-th value is tied across many columns in most rows.
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3])
+    def test_tie_at_kth_value_spans_many_columns(self, monkeypatch, rows):
+        rng = np.random.default_rng(8)
+        pts = rng.integers(0, 3, size=(47, 2)).astype(np.float64)
+        queries = rng.integers(0, 3, size=(31, 2)).astype(np.float64)
+        sq = pairwise_sq(queries, pts)
+        kth = np.sort(sq, axis=1)[:, 4:5]
+        assert np.median((sq == kth).sum(axis=1)) >= 5
+        self.use_rows(monkeypatch, rows, pts)
+        for k in (1, 5, 20):
+            assert np.array_equal(nearest(pts, queries, k), brute_nearest(pts, queries, k))
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_exclude_hits_a_tied_column(self, monkeypatch, rows):
+        # Point 2j+1 duplicates point 2j, so excluding either of a pair leaves
+        # its twin tied at distance 0 and the rest tied on the lattice.
+        rng = np.random.default_rng(9)
+        half = rng.integers(0, 3, size=(20, 2)).astype(np.float64)
+        pts = np.repeat(half, 2, axis=0)
+        self.use_rows(monkeypatch, rows, pts)
+        for exclude in (np.arange(40), np.arange(40) ^ 1, np.zeros(40, dtype=int)):
+            for k in (1, 2, 7):
+                assert np.array_equal(nearest(pts, pts, k, exclude=exclude),
+                                      brute_nearest(pts, pts, k, exclude=exclude))
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 8, 9])
+    def test_every_k_up_to_n(self, dims):
+        # k = n - 1 and k = n are the edges of the partition and the
+        # full-argsort paths; with `exclude`, k = n puts the excluded point last.
+        rng = np.random.default_rng(dims)
+        pts = rng.integers(0, 2, size=(13, dims)).astype(np.float64)
+        queries = pts + rng.integers(0, 2, size=pts.shape)
+        self_ex = np.arange(13)
+        for k in range(1, 14):
+            assert np.array_equal(nearest(pts, queries, k), brute_nearest(pts, queries, k))
+            got = nearest(pts, pts, k, exclude=self_ex)
+            want = brute_nearest(pts, pts, min(k, 12), exclude=self_ex)
+            assert np.array_equal(got[:, :12], want)
+        assert np.array_equal(got[:, 12], self_ex)
+
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_callers_independent_of_block_size(self, monkeypatch, rows):
         ds = lattice_dataset()
@@ -188,6 +230,25 @@ class TestNearest:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestPairwiseSq:
+    # Below 8 columns the distances are summed column by column, which must
+    # give the bits of the broadcast sum; from 8 the broadcast sum is kept.
+    @pytest.mark.parametrize("dims", [1, 2, 7, 8, 9])
+    def test_bits_equal_broadcast_sum(self, dims):
+        rng = np.random.default_rng(dims)
+        scale = 10.0 ** rng.uniform(-3, 3, size=dims)
+        a = rng.normal(size=(23, dims)) * scale
+        b = rng.normal(size=(29, dims)) * scale
+        want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+        assert np.array_equal(pairwise_sq(a, b).view(np.uint64), want.view(np.uint64))
+
+    def test_symmetric_bits(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(17, 3)), rng.normal(size=(11, 3))
+        assert np.array_equal(pairwise_sq(a, b).T.view(np.uint64),
+                              pairwise_sq(b, a).view(np.uint64))
 
 
 class TestDataset:

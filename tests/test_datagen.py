@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbench.core import ExampleKind, RngSeed, SkewbenchError
-from skewbench.datagen import (GenSpec, apply_disturbance, generate_blobs,
-                               generate_imbalanced, inject_rare,
+from skewbench.core import ExampleKind, RngSeed, SkewbenchError, pairwise_sq
+from skewbench.datagen import (MAX_SAMPLES, REACH_SIGMA, GenSpec, apply_disturbance,
+                               generate_blobs, generate_imbalanced, inject_rare,
                                largest_remainder, sample_centers)
 from skewbench.classify import knn_fit, knn_predict_batch
-from skewbench.evaluation import stratified_kfold
+from skewbench.evaluation import ExperimentSpec, stratified_kfold
+from skewbench.resample import Sparsity, sparsity
 
 
 def rng(seed=0):
@@ -153,6 +154,45 @@ class TestGenSpec:
         n_maj, n_min = spec.class_counts()
         assert n_maj + n_min == n
         assert n_min == round(n * 1 / (maj_parts + 1))
+
+
+class TestSpanBound:
+    # Largest values the bound dims * span^2 <= float max accepts, less 1%.
+    @staticmethod
+    def edge_sigma(dims, width=20.0):
+        return 0.99 * (np.sqrt(np.finfo(float).max / dims) - width) / (2 * REACH_SIGMA)
+
+    @staticmethod
+    def edge_alpha(spec):
+        return 0.99 * (np.sqrt(np.finfo(float).max / spec.dims) / spec.span() - 1) / 2
+
+    def test_n_samples_refused_before_allocation(self):
+        assert GenSpec(n_samples=MAX_SAMPLES).n_samples == MAX_SAMPLES
+        with pytest.raises(SkewbenchError, match="n_samples"):
+            GenSpec(n_samples=MAX_SAMPLES + 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_accepted_sub_sigma_keeps_squared_distances_finite(self, dims):
+        sigma = self.edge_sigma(dims)
+        ds, _ = generate_imbalanced(GenSpec(n_samples=300, seed=dims, dims=dims,
+                                            sub_sigma=sigma, disturbance_ratio=0.4))
+        assert np.all(np.isfinite(pairwise_sq(ds.points, ds.points)))
+        with pytest.raises(SkewbenchError, match="sub_sigma"):
+            GenSpec(dims=dims, sub_sigma=1.03 * sigma)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_accepted_sparsity_alpha_keeps_squared_distances_finite(self):
+        spec = GenSpec(n_samples=300, seed=4, dims=3, sub_sigma=1e100,
+                       disturbance_ratio=0.3)
+        alpha = self.edge_alpha(spec)
+        ExperimentSpec(methods=(Sparsity(alpha),), template=spec)
+        ds, gt = generate_imbalanced(spec)
+        spread = sparsity(ds, alpha, "both", gt.minority_assignment(),
+                          gt.majority_assignment())
+        assert np.all(np.isfinite(pairwise_sq(spread.points, spread.points)))
+        with pytest.raises(SkewbenchError, match="alpha"):
+            ExperimentSpec(methods=(Sparsity(1.03 * alpha),), template=spec)
 
 
 class TestLargestRemainder:
