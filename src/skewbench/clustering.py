@@ -74,17 +74,26 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
         raise SkewbenchError("tol must be positive")
 
     modes = np.array(pts if seeds is None else np.asarray(seeds, dtype=np.float64))
-    if modes.ndim != 2 or modes.shape[1] != pts.shape[1]:
-        raise SkewbenchError("seeds must match the point dimensionality")
+    if modes.ndim != 2 or modes.shape[1] != pts.shape[1] or len(modes) == 0:
+        raise SkewbenchError("seeds must be a nonempty matrix matching the point dimensionality")
     sq_bw = bandwidth * bandwidth
     active = np.ones(len(modes), dtype=bool)
     for _ in range(max_iter):
         idx = np.flatnonzero(active)
         if len(idx) == 0:
             break
+        # Each seed's window sum is independent of the others, so blocks of
+        # seeds keep the (block, n, d) product near _BLOCK_BYTES.
         for rows in _row_blocks(len(idx), pts):
             part = idx[rows]
-            shifted, has_any = _shift(pts, modes[part], sq_bw)
+            within = pairwise_sq(modes[part], pts) <= sq_bw
+            counts = within.sum(axis=1)
+            has_any = counts > 0
+            # Seeds with an empty window stay put: isolated points are their own modes.
+            shifted = modes[part].copy()
+            if has_any.any():
+                sums = (within[has_any][:, :, None] * pts[None, :, :]).sum(axis=1)
+                shifted[has_any] = sums / counts[has_any][:, None]
             moved = np.sqrt(((shifted - modes[part]) ** 2).sum(axis=1))
             modes[part] = shifted
             active[part[(moved < tol) | ~has_any]] = False
@@ -105,29 +114,3 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
         centers = centers[used]
         assignment = np.argmin(pairwise_sq(pts, centers), axis=1)
     return ClusterModel(centers=centers, assignment=assignment, bandwidth=float(bandwidth))
-
-
-def _shift(pts: np.ndarray, seeds: np.ndarray, sq_bw: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of the points in each seed's window, and which windows hold any.
-
-    Same bits as the sum over n of a (seeds, n, d) product, which numpy adds
-    in index order except at d = 1, where n is the contiguous axis and is
-    added pairwise. A lone seed's (n, 1) column would also be added pairwise.
-    """
-    if pts.shape[1] == 1:
-        within = pairwise_sq(seeds, pts) <= sq_bw
-        counts = within.sum(axis=1)
-        sums = (within * pts[:, 0]).sum(axis=1)[:, None]
-    else:
-        within = pairwise_sq(pts, seeds) <= sq_bw
-        counts = within.sum(axis=0)
-        if len(seeds) == 1:
-            sums = (within * pts).sum(axis=0)[None]
-        else:
-            sums = np.stack([(within * pts[:, j, None]).sum(axis=0)
-                             for j in range(pts.shape[1])], axis=1)
-    has_any = counts > 0
-    # Seeds with an empty window stay put: isolated points are their own modes.
-    shifted = seeds.copy()
-    shifted[has_any] = sums[has_any] / counts[has_any][:, None]
-    return shifted, has_any

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -145,6 +146,13 @@ def _row_blocks(count: int, points: np.ndarray) -> list[slice]:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
+def squares_overflow(span: float, dims: int) -> bool:
+    """Whether points `span` apart on each of `dims` axes are too far apart for
+    their squared distance to be a finite float. Takes Python floats, which
+    overflow to inf without a warning."""
+    return not math.isfinite(dims * span * span)
+
+
 def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact squared L2 distance between every row of `a` and every row of `b`.
 
@@ -183,9 +191,7 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int,
 
 
 def _topk(sq: np.ndarray, k: int) -> np.ndarray:
-    """The first k columns of each row's stable argsort, without sorting the rows."""
-    if k >= sq.shape[1]:
-        return np.argsort(sq, axis=1, kind="stable")[:, :k]
+    """The first k <= n columns of each row's stable argsort, without sorting the rows."""
     kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
     take = sq < kth
     tied = sq == kth

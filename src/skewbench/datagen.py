@@ -9,13 +9,12 @@ that with zero disturbance the classes do not overlap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Dataset, ExampleKind, RngSeed, SkewbenchError, as_seed,
-                   _frozen_array, pairwise_sq)
+                   _frozen_array, pairwise_sq, squares_overflow)
 
 MAJORITY_LABEL = 0
 MINORITY_LABEL = 1
@@ -40,13 +39,10 @@ REACH_SIGMA = 13.0
 # coordinates and the k-NN and MeanShift work grows as n^2, so a larger
 # dataset could not be processed; it is refused before anything is allocated.
 MAX_SAMPLES = 10_000_000
-
-
-def squares_overflow(span: float, dims: int) -> bool:
-    """Whether points `span` apart on each of `dims` axes are too far apart for
-    their squared distance to be a finite float. Takes Python floats, which
-    overflow to inf without a warning."""
-    return not math.isfinite(dims * span * span)
+# Largest dims a GenSpec accepts. Each point holds dims coordinates and every
+# distance costs dims operations. It also keeps dims within the float range, in
+# which the overflow check on squared distances below is computed.
+MAX_DIMS = 10_000
 
 
 def largest_remainder(weights, total: int) -> np.ndarray:
@@ -101,8 +97,8 @@ class GenSpec:
         if not 2 <= self.n_samples <= MAX_SAMPLES:
             raise SkewbenchError(f"n_samples must lie in [2, {MAX_SAMPLES}], "
                                  f"got {self.n_samples}")
-        if self.dims < 1:
-            raise SkewbenchError("dims must be >= 1")
+        if not 1 <= self.dims <= MAX_DIMS:
+            raise SkewbenchError(f"dims must lie in [1, {MAX_DIMS}], got {self.dims}")
         if self.minority_subclusters < 1 or self.majority_subclusters < 1:
             raise SkewbenchError("sub-cluster counts must be >= 1")
         if not self.sub_sigma > 0:

@@ -20,8 +20,8 @@ import numpy as np
 from .classify import (ClassifierConfig, KnnClassifier, TreeClassifier, knn_fit,
                        knn_predict_batch, tree_fit, tree_predict_batch)
 from .core import Dataset, RngSeed, SkewbenchError, as_seed, summarize
-from .datagen import GenSpec, generate_imbalanced, squares_overflow
-from .resample import Base, MethodConfig, Sparsity, apply_method
+from .datagen import GenSpec, generate_imbalanced
+from .resample import Base, MethodConfig, apply_method, check_spread
 
 METRIC_NAMES = ("sensitivity", "specificity", "accuracy", "gmean", "auc")
 
@@ -223,14 +223,8 @@ class ExperimentSpec:
             raise SkewbenchError("repeats must be >= 1")
         if self.folds < 2:
             raise SkewbenchError("folds must be >= 2")
-        span = self.template.span()
         for method in self.methods:
-            # Moving x to c + alpha * (x - c), c a cluster mean, keeps any two
-            # points within (1 + 2 alpha) spans of each other.
-            if isinstance(method, Sparsity) and squares_overflow(
-                    (1.0 + 2.0 * float(method.alpha)) * span, self.template.dims):
-                raise SkewbenchError(f"sparsity alpha={method.alpha:g} is too large: "
-                                     "squared distances of the spread data overflow")
+            check_spread(method, self.template.span(), self.template.dims)
 
     def cells(self) -> list[CellKey]:
         return [CellKey(sc, size, ratio, dist)

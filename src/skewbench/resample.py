@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import DEFAULT_QUANTILE, estimate_bandwidth, mean_shift
-from .core import Dataset, SkewbenchError, nearest, summarize
+from .core import Dataset, SkewbenchError, nearest, squares_overflow, summarize
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,8 @@ def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,
     s = summarize(ds)
     if alpha == 1.0:
         return ds
+    with np.errstate(over="ignore"):
+        check_spread(Sparsity(alpha, scope), float(np.ptp(ds.points, axis=0).max()), ds.d)
     points = np.array(ds.points)
     todo = [(s.minority_label, minority_clusters)]
     if scope == "both":
@@ -250,11 +252,21 @@ def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,
         for j in np.unique(clusters):
             members = rows[clusters == j]
             center = points[members].mean(axis=0)
-            with np.errstate(over="ignore"):
-                points[members] = center + alpha * (points[members] - center)
-    if not np.all(np.isfinite(points)):
-        raise SkewbenchError(f"sparsity alpha={alpha:g} is too large: coordinates overflow")
+            points[members] = center + alpha * (points[members] - center)
     return Dataset(points, ds.labels, ds.kinds)
+
+
+def check_spread(method: MethodConfig, span: float, dims: int) -> None:
+    """Refuse a Sparsity whose spread data could not be measured.
+
+    Moving x to c + alpha * (x - c), c a cluster mean, keeps points that lay
+    within `span` of each other on every axis within (1 + 2 alpha) spans; a
+    squared distance over `dims` such axes must stay finite.
+    """
+    if isinstance(method, Sparsity) and squares_overflow(
+            (1.0 + 2.0 * float(method.alpha)) * span, dims):
+        raise SkewbenchError(f"sparsity alpha={method.alpha:g} is too large: "
+                             "squared distances of the spread data overflow")
 
 
 def apply_method(ds: Dataset, method: MethodConfig, rng: np.random.Generator | None = None,

@@ -1,5 +1,5 @@
-"""Frozen reference MeanShift and bandwidth estimate, as they were before the
-row-blocked, column-wise rewrite of `skewbench.clustering`.
+"""Frozen reference MeanShift and bandwidth estimate, as they were before
+`skewbench.clustering` worked in row blocks.
 
 Tests compare the library against these bit for bit. Do not optimise them:
 their summation order is the specification.

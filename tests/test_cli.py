@@ -319,6 +319,9 @@ class TestBadInput:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command,config,named", [
         ("generate", "gen.n_samples = 3000000000", "n_samples"),
+        ("generate", "gen.dims = 20000", "dims"),
+        pytest.param("generate", "gen.dims = 1" + "0" * 400, "dims",
+                     id="generate-gen.dims = 400 digits-dims"),
         ("generate", "gen.sub_sigma = 1e200", "sub_sigma"),
         ("generate", "gen.sub_sigma = 1e308", "sub_sigma"),
         ("generate", "gen.box = -1e200,1e200", "center_box"),
@@ -333,7 +336,8 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not (tmp_path / "out").exists()
 
-    # A CSV has no generator spec to bound, so the overflow shows when it happens.
+    # A CSV has no generator spec to bound: sparsity bounds alpha by the span
+    # of the data it reads, before it moves any point.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command,config,named", [
         ("resample", "sparsity.alpha = 1e308", "alpha"),

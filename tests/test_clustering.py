@@ -125,6 +125,8 @@ class TestMeanShift:
             mean_shift(pts, bandwidth=1.0, max_iter=0)
         with pytest.raises(SkewbenchError):
             mean_shift(pts, bandwidth=1.0, tol=-1.0)
+        with pytest.raises(SkewbenchError, match="seeds"):
+            mean_shift(pts, bandwidth=1.0, seeds=np.empty((0, pts.shape[1])))
 
 
 def oracle_points(kind: str, dims: int) -> np.ndarray:

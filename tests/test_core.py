@@ -185,8 +185,8 @@ class TestNearest:
 
     @pytest.mark.parametrize("dims", [1, 2, 3, 8, 9])
     def test_every_k_up_to_n(self, dims):
-        # k = n - 1 and k = n are the edges of the partition and the
-        # full-argsort paths; with `exclude`, k = n puts the excluded point last.
+        # At k = n the partition index is the last column and every column is
+        # taken; with `exclude`, k = n puts the excluded (inf) point last.
         rng = np.random.default_rng(dims)
         pts = rng.integers(0, 2, size=(13, dims)).astype(np.float64)
         queries = pts + rng.integers(0, 2, size=pts.shape)

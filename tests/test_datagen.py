@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewbench.core import ExampleKind, RngSeed, SkewbenchError, pairwise_sq
-from skewbench.datagen import (MAX_SAMPLES, REACH_SIGMA, GenSpec, apply_disturbance,
-                               generate_blobs, generate_imbalanced, inject_rare,
-                               largest_remainder, sample_centers)
+from skewbench.datagen import (MAX_DIMS, MAX_SAMPLES, REACH_SIGMA, GenSpec,
+                               apply_disturbance, generate_blobs, generate_imbalanced,
+                               inject_rare, largest_remainder, sample_centers)
 from skewbench.classify import knn_fit, knn_predict_batch
 from skewbench.evaluation import ExperimentSpec, stratified_kfold
 from skewbench.resample import Sparsity, sparsity
@@ -170,6 +170,12 @@ class TestSpanBound:
         assert GenSpec(n_samples=MAX_SAMPLES).n_samples == MAX_SAMPLES
         with pytest.raises(SkewbenchError, match="n_samples"):
             GenSpec(n_samples=MAX_SAMPLES + 1)
+
+    @pytest.mark.parametrize("dims", [MAX_DIMS + 1, 10**400], ids=["max+1", "400-digits"])
+    def test_dims_refused_before_float_bound(self, dims):
+        assert GenSpec(dims=MAX_DIMS).dims == MAX_DIMS
+        with pytest.raises(SkewbenchError, match="dims"):
+            GenSpec(dims=dims)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dims", [1, 3])
