@@ -3,6 +3,9 @@
 Both emit a minority-class score alongside the label so ROC areas can be
 computed. Vote and leaf ties resolve toward the majority class, which makes
 the baselines' bias against the minority explicit and reproducible.
+
+Each config in `CLASSIFIERS` runs itself with `fit_predict(train, minority,
+queries)`, calling fit and predict by their global names as `resample` does.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ class KnnClassifier:
         if self.k < 1:
             raise SkewbenchError("knn k must be >= 1")
 
+    def fit_predict(self, train: Dataset, minority: int,
+                    queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        model = knn_fit(train, k=self.k, minority_label=minority)
+        return knn_predict_batch(model, queries)
+
 
 @dataclass(frozen=True)
 class TreeClassifier:
@@ -39,6 +47,12 @@ class TreeClassifier:
             raise SkewbenchError("tree max_depth must be >= 0")
         if self.min_leaf < 1:
             raise SkewbenchError("tree min_leaf must be >= 1")
+
+    def fit_predict(self, train: Dataset, minority: int,
+                    queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        model = tree_fit(train, max_depth=self.max_depth, min_leaf=self.min_leaf,
+                         minority_label=minority)
+        return tree_predict_batch(model, queries)
 
 
 ClassifierConfig = KnnClassifier | TreeClassifier
@@ -96,11 +110,6 @@ def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]
     votes = (model.train.labels[order] == model.minority_label).sum(axis=1)
     labels = np.where(votes * 2 > model.k, model.minority_label, model.majority_label)
     return labels.astype(np.int64), votes / model.k
-
-
-def knn_predict(model: KnnModel, query) -> tuple[int, float]:
-    labels, scores = knn_predict_batch(model, np.asarray(query, dtype=np.float64)[None, :])
-    return int(labels[0]), float(scores[0])
 
 
 @dataclass(frozen=True)
@@ -225,11 +234,6 @@ def tree_predict_batch(model: TreeModel, queries) -> tuple[np.ndarray, np.ndarra
             labels[i] = model.majority_label
         scores[i] = (m + 1) / (m + mj + 2)  # Laplace-smoothed minority share
     return labels, scores
-
-
-def tree_predict(model: TreeModel, query) -> tuple[int, float]:
-    labels, scores = tree_predict_batch(model, np.asarray(query, dtype=np.float64)[None, :])
-    return int(labels[0]), float(scores[0])
 
 
 def tree_to_text(model: TreeModel) -> str:

@@ -21,7 +21,7 @@ from .evaluation import (METRIC_NAMES, ExperimentSpec, aggregate, all_pivots_tex
                          stratified_kfold)
 from .io import read_dataset_csv, write_dataset_csv, write_ground_truth_csv
 from .plotting import scatter_svg
-from .resample import METHOD_NAMES, apply_method
+from .resample import METHOD_NAMES
 
 
 def _summary_block(ds: Dataset) -> str:
@@ -67,7 +67,7 @@ def cmd_resample(args) -> int:
     method = build_method(args.method, cfg)
     ds = read_dataset_csv(args.input)
     rng = RngSeed(args.seed or 0).child("cli-resample").generator()
-    out_ds = apply_method(ds, method, rng)
+    out_ds = method.apply(ds, rng)
     write_dataset_csv(out_ds, args.out)
     print("--- before ---")
     print(_summary_block(ds))

@@ -7,7 +7,7 @@ from math import ceil
 
 import numpy as np
 
-from .core import SkewbenchError, _frozen_array, _row_blocks, pairwise_sq
+from .core import SkewbenchError, _frozen_array, _row_blocks, nearest, pairwise_sq
 
 DEFAULT_QUANTILE = 0.3
 DEFAULT_MAX_ITER = 300
@@ -108,9 +108,7 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
             kept.append(i)
     centers = modes[kept]
 
-    assignment = np.argmin(pairwise_sq(pts, centers), axis=1)
-    used = np.unique(assignment)
-    if len(used) < len(centers):
-        centers = centers[used]
-        assignment = np.argmin(pairwise_sq(pts, centers), axis=1)
-    return ClusterModel(centers=centers, assignment=assignment, bandwidth=float(bandwidth))
+    # A dropped center is no point's nearest, so numbering the used centers in
+    # order gives the assignment a second pass against them would.
+    used, assignment = np.unique(nearest(centers, pts, 1)[:, 0], return_inverse=True)
+    return ClusterModel(centers=centers[used], assignment=assignment, bandwidth=float(bandwidth))

@@ -88,9 +88,6 @@ class Dataset:
         kinds = self.kinds[idx] if self.kinds is not None else None
         return Dataset(self.points[idx], self.labels[idx], kinds)
 
-    def with_kinds(self, kinds) -> "Dataset":
-        return Dataset(self.points, self.labels, kinds)
-
 
 @dataclass(frozen=True)
 class ClassSummary:
@@ -122,17 +119,6 @@ def summarize(ds: Dataset) -> ClassSummary:
         majority_label=majority,
         imbalance_ratio=table[majority] / table[minority],
     )
-
-
-def euclidean(a, b) -> float:
-    """L2 distance between two equal-dimension points."""
-    pa = np.asarray(a, dtype=np.float64)
-    pb = np.asarray(b, dtype=np.float64)
-    if pa.shape != pb.shape or pa.ndim != 1:
-        raise SkewbenchError(f"dimension mismatch: {pa.shape} vs {pb.shape}")
-    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
-        raise SkewbenchError("points must be finite")
-    return float(np.sqrt(np.sum((pa - pb) ** 2)))
 
 
 # Row blocks of `nearest` and MeanShift are sized so that each block's
@@ -179,7 +165,7 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int,
     """Indices of the k nearest `points` to each query row, ascending by distance.
 
     Tied distances break toward the lower point index. `exclude` names one
-    point index per query that is never its neighbor (self-exclusion).
+    point index per query, ranked last: self-exclusion for any k < len(points).
     """
     out = np.empty((len(queries), k), dtype=np.intp)
     for rows in _row_blocks(len(queries), points):
@@ -203,21 +189,6 @@ def _topk(sq: np.ndarray, k: int) -> np.ndarray:
     cols = np.nonzero(take)[1].reshape(-1, k)
     order = np.argsort(np.take_along_axis(sq, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
-
-
-def knn_indices(train: Dataset, query, k: int, exclude: int | None = None) -> np.ndarray:
-    """Indices of the k nearest training points, ascending by distance.
-
-    Tied distances break toward the lower point index. `exclude` removes one
-    training index from consideration (self-exclusion for leave-one-out uses).
-    """
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (train.d,):
-        raise SkewbenchError(f"query dimension {q.shape} does not match data ({train.d},)")
-    usable = train.n - (1 if exclude is not None else 0)
-    if k < 1 or k > usable:
-        raise SkewbenchError(f"k={k} outside valid range 1..{usable}")
-    return nearest(train.points, q[None, :], k, None if exclude is None else [exclude])[0]
 
 
 def _mix64(z: int) -> int:

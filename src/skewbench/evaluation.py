@@ -17,11 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import (ClassifierConfig, KnnClassifier, TreeClassifier, knn_fit,
-                       knn_predict_batch, tree_fit, tree_predict_batch)
+from .classify import ClassifierConfig, KnnClassifier, TreeClassifier
 from .core import Dataset, RngSeed, SkewbenchError, as_seed, summarize
 from .datagen import GenSpec, generate_imbalanced
-from .resample import Base, MethodConfig, apply_method, check_spread
+from .resample import Base, MethodConfig, check_spread
 
 METRIC_NAMES = ("sensitivity", "specificity", "accuracy", "gmean", "auc")
 
@@ -45,9 +44,6 @@ class Metrics:
     accuracy: float
     gmean: float
     auc: float = float("nan")
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
 def confusion(truth, pred, minority: int) -> ConfusionMatrix:
@@ -135,18 +131,6 @@ def stratified_kfold(ds: Dataset, folds: int, seed: RngSeed | int) -> np.ndarray
     return assignment
 
 
-def _fit_predict(clf: ClassifierConfig, train: Dataset, minority: int,
-                 queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(clf, KnnClassifier):
-        model = knn_fit(train, k=clf.k, minority_label=minority)
-        return knn_predict_batch(model, queries)
-    if isinstance(clf, TreeClassifier):
-        model = tree_fit(train, max_depth=clf.max_depth, min_leaf=clf.min_leaf,
-                         minority_label=minority)
-        return tree_predict_batch(model, queries)
-    raise SkewbenchError(f"unknown classifier {clf!r}")
-
-
 def evaluate_folds(ds: Dataset, fold_assignment: np.ndarray,
                    methods: tuple[MethodConfig, ...],
                    classifiers: tuple[ClassifierConfig, ...],
@@ -172,9 +156,9 @@ def evaluate_folds(ds: Dataset, fold_assignment: np.ndarray,
             minority_clusters = subclusters_full[train_rows][train.labels == minority]
         for m_index, method in enumerate(methods):
             rng = seed.child("method", m_index).child("fold", fold).generator()
-            resampled = apply_method(train, method, rng, minority_clusters=minority_clusters)
+            resampled = method.apply(train, rng, minority_clusters=minority_clusters)
             for clf in classifiers:
-                pred, scores = _fit_predict(clf, resampled, minority, test_points)
+                pred, scores = clf.fit_predict(resampled, minority, test_points)
                 metrics = metrics_from(confusion(test_labels, pred, minority))
                 metrics = replace(metrics, auc=auc(scores, test_labels, minority))
                 results[(method.name, clf.name)].append(metrics)

@@ -3,6 +3,11 @@
 All functions take a dataset and return a new one; inputs are never mutated.
 RO, CO, and SMOTE keep every original row and append their additions, so row
 order is originals first, then duplicates or synthetics.
+
+Each config in `METHODS` runs itself with `apply(ds, rng, minority_clusters)`;
+only CO and Sparsity use `minority_clusters`, a known sub-cluster assignment.
+`apply` calls the module function by its global name, so a wrapper bound to
+that name here sees every call.
 """
 
 from __future__ import annotations
@@ -21,12 +26,20 @@ class Base:
 
     name = "base"
 
+    def apply(self, ds: Dataset, rng: np.random.Generator,
+              minority_clusters: np.ndarray | None = None) -> Dataset:
+        return ds
+
 
 @dataclass(frozen=True)
 class RO:
     """Random minority oversampling until the classes balance."""
 
     name = "ro"
+
+    def apply(self, ds: Dataset, rng: np.random.Generator,
+              minority_clusters: np.ndarray | None = None) -> Dataset:
+        return random_oversample(ds, rng)
 
 
 @dataclass(frozen=True)
@@ -38,6 +51,10 @@ class CO:
     """
 
     name = "co"
+
+    def apply(self, ds: Dataset, rng: np.random.Generator,
+              minority_clusters: np.ndarray | None = None) -> Dataset:
+        return cluster_oversample(ds, rng, clusters=minority_clusters)
 
 
 @dataclass(frozen=True)
@@ -54,6 +71,10 @@ class SMOTE:
         if self.amount_pct < 100 or self.amount_pct % 100 != 0:
             raise SkewbenchError("smote amount_pct must be a positive multiple of 100")
 
+    def apply(self, ds: Dataset, rng: np.random.Generator,
+              minority_clusters: np.ndarray | None = None) -> Dataset:
+        return smote(ds, self.k, self.amount_pct, rng)
+
 
 @dataclass(frozen=True)
 class NCR:
@@ -65,6 +86,10 @@ class NCR:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise SkewbenchError("ncr k must be >= 1")
+
+    def apply(self, ds: Dataset, rng: np.random.Generator,
+              minority_clusters: np.ndarray | None = None) -> Dataset:
+        return ncr(ds, self.k)
 
 
 @dataclass(frozen=True)
@@ -86,6 +111,10 @@ class Sparsity:
             raise SkewbenchError("sparsity alpha must be >= 1")
         if self.scope not in ("minority", "both"):
             raise SkewbenchError("sparsity scope must be 'minority' or 'both'")
+
+    def apply(self, ds: Dataset, rng: np.random.Generator,
+              minority_clusters: np.ndarray | None = None) -> Dataset:
+        return sparsity(ds, self.alpha, self.scope, minority_clusters=minority_clusters)
 
 
 MethodConfig = Base | RO | CO | SMOTE | NCR | Sparsity
@@ -114,18 +143,16 @@ def random_oversample(ds: Dataset, rng: np.random.Generator) -> Dataset:
     return Dataset(points, labels, _concat_kinds(ds, dup))
 
 
-def _discover_clusters(ds: Dataset, minority_rows: np.ndarray,
-                                quantile: float = DEFAULT_QUANTILE) -> np.ndarray:
+def _discover_clusters(ds: Dataset, minority_rows: np.ndarray) -> np.ndarray:
     pts = ds.points[minority_rows]
     if len(pts) < 2:
         return np.zeros(len(pts), dtype=np.int64)
-    bandwidth = estimate_bandwidth(pts, quantile)
+    bandwidth = estimate_bandwidth(pts, DEFAULT_QUANTILE)
     return mean_shift(pts, bandwidth).assignment
 
 
 def cluster_oversample(ds: Dataset, rng: np.random.Generator,
-                       clusters: np.ndarray | None = None,
-                       quantile: float = DEFAULT_QUANTILE) -> Dataset:
+                       clusters: np.ndarray | None = None) -> Dataset:
     """Oversample each minority sub-cluster to ceil(majority / n_subclusters).
 
     The rounding surplus is trimmed uniformly at random from the duplicates so
@@ -135,7 +162,7 @@ def cluster_oversample(ds: Dataset, rng: np.random.Generator,
     n_maj = s.counts[s.majority_label]
     minority_rows = np.flatnonzero(ds.labels == s.minority_label)
     if clusters is None:
-        clusters = _discover_clusters(ds, minority_rows, quantile)
+        clusters = _discover_clusters(ds, minority_rows)
     clusters = np.asarray(clusters, dtype=np.int64)
     if len(clusters) != len(minority_rows):
         raise SkewbenchError("cluster assignment must cover every minority point")
@@ -224,20 +251,19 @@ def ncr(ds: Dataset, k: int = NCR.k) -> Dataset:
 
 def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,
              minority_clusters: np.ndarray | None = None,
-             majority_clusters: np.ndarray | None = None,
-             quantile: float = DEFAULT_QUANTILE) -> Dataset:
+             majority_clusters: np.ndarray | None = None) -> Dataset:
     """Move each in-scope point to c + alpha * (x - c), c its sub-cluster mean.
 
     Anchors are the empirical means of the sub-clusters (given assignments or
     discovered with MeanShift), so class counts, labels, and per-cluster means
     are preserved while spread scales by alpha.
     """
-    Sparsity(alpha=alpha, scope=scope)
+    config = Sparsity(alpha=alpha, scope=scope)
     s = summarize(ds)
     if alpha == 1.0:
         return ds
     with np.errstate(over="ignore"):
-        check_spread(Sparsity(alpha, scope), float(np.ptp(ds.points, axis=0).max()), ds.d)
+        check_spread(config, float(np.ptp(ds.points, axis=0).max()), ds.d)
     points = np.array(ds.points)
     todo = [(s.minority_label, minority_clusters)]
     if scope == "both":
@@ -245,7 +271,7 @@ def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,
     for label, clusters in todo:
         rows = np.flatnonzero(ds.labels == label)
         if clusters is None:
-            clusters = _discover_clusters(ds, rows, quantile)
+            clusters = _discover_clusters(ds, rows)
         clusters = np.asarray(clusters, dtype=np.int64)
         if len(clusters) != len(rows):
             raise SkewbenchError("cluster assignment must cover every in-scope point")
@@ -268,30 +294,3 @@ def check_spread(method: MethodConfig, span: float, dims: int) -> None:
         raise SkewbenchError(f"sparsity alpha={method.alpha:g} is too large: "
                              "squared distances of the spread data overflow")
 
-
-def apply_method(ds: Dataset, method: MethodConfig, rng: np.random.Generator | None = None,
-                 minority_clusters: np.ndarray | None = None) -> Dataset:
-    """Dispatch one method configuration against a dataset.
-
-    `minority_clusters` supplies a known sub-cluster assignment (for example
-    from generator ground truth) to CO and Sparsity.
-    """
-    if isinstance(method, Base):
-        return ds
-    if isinstance(method, RO):
-        return random_oversample(ds, _require_rng(rng))
-    if isinstance(method, CO):
-        return cluster_oversample(ds, _require_rng(rng), clusters=minority_clusters)
-    if isinstance(method, SMOTE):
-        return smote(ds, method.k, method.amount_pct, _require_rng(rng))
-    if isinstance(method, NCR):
-        return ncr(ds, method.k)
-    if isinstance(method, Sparsity):
-        return sparsity(ds, method.alpha, method.scope, minority_clusters=minority_clusters)
-    raise SkewbenchError(f"unknown resampling method {method!r}")
-
-
-def _require_rng(rng: np.random.Generator | None) -> np.random.Generator:
-    if rng is None:
-        raise SkewbenchError("this method needs a random generator")
-    return rng

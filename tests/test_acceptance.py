@@ -123,7 +123,7 @@ def test_criterion_4_metric_unit_suite():
 
 def test_criterion_5_oracle_equivalence():
     with criterion(5, "k-NN and NCR match brute-force oracles", 30.0):
-        from skewbench.core import knn_indices
+        from skewbench.core import nearest
 
         checked_queries = 0
         for case in range(100):
@@ -144,7 +144,7 @@ def test_criterion_5_oracle_equivalence():
 
             order = sorted(range(n),
                            key=lambda i: (float(np.sum((pts[i] - query) ** 2)), i))
-            assert knn_indices(ds, query, k=k).tolist() == order[:k]
+            assert nearest(ds.points, query[None, :], k)[0].tolist() == order[:k]
 
             model = knn_fit(ds, k=k, minority_label=1)
             pred, scores = knn_predict_batch(model, query[None, :])

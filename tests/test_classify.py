@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from skewbench.classify import (knn_fit, knn_predict, knn_predict_batch,
-                                tree_fit, tree_predict, tree_predict_batch,
-                                tree_to_text)
+from skewbench.classify import (knn_fit, knn_predict_batch, tree_fit,
+                                tree_predict_batch, tree_to_text)
 from skewbench.core import Dataset, RngSeed, SkewbenchError
 
 
@@ -15,29 +14,25 @@ class TestKnn:
     def test_k1_returns_training_label(self):
         ds = ds_of([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], [0, 1, 0])
         model = knn_fit(ds, k=1)
-        label, score = knn_predict(model, [5.0, 5.0])
-        assert label == 1
-        assert score == 1.0
-        label, score = knn_predict(model, [0.0, 0.0])
-        assert label == 0
-        assert score == 0.0
+        labels, scores = knn_predict_batch(model, [[5.0, 5.0], [0.0, 0.0]])
+        assert labels.tolist() == [1, 0]
+        assert scores.tolist() == [1.0, 0.0]
 
     def test_two_of_three_vote(self):
         ds = ds_of([[0.0], [0.1], [0.2], [9.0], [9.1], [9.2], [9.3]],
                    [1, 1, 0, 0, 0, 0, 0])
         model = knn_fit(ds, k=3)
-        label, score = knn_predict(model, [0.05])
-        assert label == 1
-        assert score == pytest.approx(2 / 3)
+        labels, scores = knn_predict_batch(model, [[0.05]])
+        assert labels.tolist() == [1]
+        assert scores[0] == pytest.approx(2 / 3)
 
     def test_tie_goes_to_majority(self):
         ds = ds_of([[0.0], [1.0], [10.0], [11.0], [12.0]], [1, 1, 0, 0, 0])
         model = knn_fit(ds, k=2)
-        label, score = knn_predict(model, [0.5])
-        assert score == pytest.approx(1.0)  # both neighbors minority
-        label, score = knn_predict(model, [5.5])
-        assert label == 0  # one of each: tie resolves to majority
-        assert score == pytest.approx(0.5)
+        labels, scores = knn_predict_batch(model, [[0.5], [5.5]])
+        assert scores[0] == pytest.approx(1.0)  # both neighbors minority
+        assert labels[1] == 0  # one of each: tie resolves to majority
+        assert scores[1] == pytest.approx(0.5)
 
     def test_matches_brute_force_oracle(self):
         rng = RngSeed(42).generator()
@@ -78,7 +73,7 @@ class TestKnn:
         ds = ds_of([[0.0, 1.0], [1.0, 0.0]], [0, 1])
         model = knn_fit(ds, k=1)
         with pytest.raises(SkewbenchError, match="dimension"):
-            knn_predict(model, [1.0, 2.0, 3.0])
+            knn_predict_batch(model, [[1.0, 2.0, 3.0]])
 
 
 class TestTreeFit:
@@ -105,8 +100,8 @@ class TestTreeFit:
         ds = ds_of([[2.0, 2.0]] * 5, [0, 0, 0, 1, 1])
         model = tree_fit(ds, min_leaf=1)
         assert len(model.nodes) == 1
-        label, _ = tree_predict(model, [2.0, 2.0])
-        assert label == 0  # leaf majority
+        labels, _ = tree_predict_batch(model, [[2.0, 2.0]])
+        assert labels.tolist() == [0]  # leaf majority
 
     def test_min_leaf_respected(self):
         rng = RngSeed(5).generator()
@@ -156,29 +151,28 @@ class TestTreePredict:
     def test_single_leaf_constant(self):
         ds = ds_of([[0.0], [1.0]], [0, 0])
         model = tree_fit(ds)
-        for q in ([-5.0], [0.5], [99.0]):
-            label, score = tree_predict(model, q)
-            assert label == 0
-            assert score == pytest.approx(1 / 4)  # Laplace (0+1)/(2+2)
+        labels, scores = tree_predict_batch(model, [[-5.0], [0.5], [99.0]])
+        assert labels.tolist() == [0, 0, 0]
+        assert scores.tolist() == pytest.approx([1 / 4] * 3)  # Laplace (0+1)/(2+2)
 
     def test_laplace_leaf_score(self):
         # A leaf holding (minority=3, majority=1) predicts minority with 4/6.
         ds = ds_of([[0.0], [0.1], [0.2], [0.3], [9.0], [9.1], [9.2], [9.3], [9.4]],
                    [1, 1, 1, 0, 0, 0, 0, 0, 0])
         model = tree_fit(ds, max_depth=1, min_leaf=4)
-        label, score = tree_predict(model, [0.0])
-        assert label == 1
-        assert score == pytest.approx(4 / 6)
+        labels, scores = tree_predict_batch(model, [[0.0]])
+        assert labels.tolist() == [1]
+        assert scores[0] == pytest.approx(4 / 6)
 
     def test_leaf_tie_prefers_majority(self):
         ds = ds_of([[0.0], [1.0], [10.0], [11.0], [12.0], [13.0]], [1, 1, 0, 0, 0, 0])
         model = tree_fit(ds, max_depth=0)
-        label, score = tree_predict(model, [0.0])
-        assert label == 0
+        labels, _ = tree_predict_batch(model, [[0.0]])
+        assert labels.tolist() == [0]
         ds2 = ds_of([[0.0], [1.0], [10.0], [11.0]], [1, 1, 0, 0])
         model2 = tree_fit(ds2, max_depth=0, minority_label=1)
-        label2, _ = tree_predict(model2, [0.0])
-        assert label2 == 0  # exact tie in the root leaf
+        labels2, _ = tree_predict_batch(model2, [[0.0]])
+        assert labels2.tolist() == [0]  # exact tie in the root leaf
 
     def test_matches_hand_routed_oracle(self):
         rng = RngSeed(9).generator()
@@ -224,7 +218,7 @@ class TestTreePredict:
         ds = ds_of([[0.0, 0.0], [1.0, 1.0]], [0, 1])
         model = tree_fit(ds, min_leaf=1)
         with pytest.raises(SkewbenchError, match="dimension"):
-            tree_predict(model, [0.0])
+            tree_predict_batch(model, [[0.0]])
 
 
 class TestTreeExport:

@@ -176,3 +176,17 @@ def test_peak_memory_bounded_at_n2000(call):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_assignment_peak_memory_bounded_when_every_mode_survives():
+    # Windows this narrow hold only their own seed, so all 700 modes survive
+    # and an unblocked n x centers assignment matrix alone would take 3.9 MB.
+    pts = np.random.default_rng(0).uniform(0, 100, size=(700, 2))
+    tracemalloc.start()
+    try:
+        model = mean_shift(pts, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n_clusters == 700
+    assert peak < 4 * 2**20

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -9,8 +8,7 @@ from hypothesis import strategies as st
 from skewbench import core
 from skewbench.classify import knn_fit, knn_predict_batch
 from skewbench.core import (Dataset, ExampleKind, RngSeed, SkewbenchError,
-                            derive_seed, euclidean, knn_indices, nearest,
-                            pairwise_sq, summarize)
+                            derive_seed, nearest, pairwise_sq, summarize)
 from skewbench.resample import ncr, smote
 
 
@@ -54,26 +52,23 @@ class TestSummarize:
         assert s1.imbalance_ratio == pytest.approx(s0.imbalance_ratio)
 
 
-class TestEuclidean:
-    def test_three_four_five(self):
-        assert euclidean((0.0, 0.0), (3.0, 4.0)) == 5.0
+def nearest_one(points, query, k: int, exclude: int | None = None) -> list[int]:
+    """`nearest` for a single query row, as a list of point indices."""
+    return nearest(np.asarray(points, dtype=np.float64),
+                   np.asarray(query, dtype=np.float64)[None, :], k,
+                   None if exclude is None else np.array([exclude]))[0].tolist()
 
-    def test_identity(self):
-        assert euclidean((2.5, -1.0, 7.0), (2.5, -1.0, 7.0)) == 0.0
 
-    def test_sqrt_two(self):
-        assert euclidean((1.0, 1.0), (2.0, 2.0)) == pytest.approx(math.sqrt(2), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SkewbenchError, match="dimension mismatch"):
-            euclidean((1.0, 2.0), (1.0, 2.0, 3.0))
+def distance(a, b) -> float:
+    return float(np.sqrt(np.sum((np.asarray(a) - np.asarray(b)) ** 2)))
 
 
 class TestKnnIndices:
+    """The k nearest point indices of a single query, through `nearest`."""
+
     def test_one_dimensional(self):
-        train = Dataset(np.array([[0.0], [1.0], [2.0], [10.0]]), np.zeros(4, dtype=int))
-        got = knn_indices(train, [0.4], k=2)
-        assert sorted(got.tolist()) == [0, 1]
+        got = nearest_one([[0.0], [1.0], [2.0], [10.0]], [0.4], k=2)
+        assert sorted(got) == [0, 1]
 
     def test_tie_breaks_by_index(self):
         # Points at indices 3 and 7 are equidistant from the query.
@@ -81,27 +76,23 @@ class TestKnnIndices:
         pts[3] = (1.0, 0.0)
         pts[7] = (-1.0, 0.0)
         pts[[0, 1, 2, 4, 5, 6]] = 50.0
-        train = Dataset(pts, np.zeros(8, dtype=int))
-        got = knn_indices(train, [0.0, 0.0], k=2)
-        assert got.tolist() == [3, 7]
+        assert nearest_one(pts, [0.0, 0.0], k=2) == [3, 7]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(30, 2))
-        train = Dataset(pts, np.zeros(30, dtype=int))
         query = rng.normal(size=2)
         expected = sorted(range(30),
                           key=lambda i: (sum((pts[i] - query) ** 2), i))[:5]
-        assert knn_indices(train, query, k=5).tolist() == expected
+        assert nearest_one(pts, query, k=5) == expected
 
     def test_k_equals_n_returns_all_sorted(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(12, 3))
-        train = Dataset(pts, np.zeros(12, dtype=int))
         q = rng.normal(size=3)
-        got = knn_indices(train, q, k=12)
-        dists = [euclidean(pts[i], q) for i in got]
-        assert sorted(got.tolist()) == list(range(12))
+        got = nearest_one(pts, q, k=12)
+        dists = [distance(pts[i], q) for i in got]
+        assert sorted(got) == list(range(12))
         assert dists == sorted(dists)
 
     def test_reordering_equidistant_points_keeps_distances(self):
@@ -110,18 +101,17 @@ class TestKnnIndices:
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [5.0, 5.0]])
         q = np.zeros(2)
         for perm in ([0, 1, 2, 3], [2, 0, 1, 3], [1, 2, 0, 3]):
-            train = Dataset(pts[perm], np.zeros(4, dtype=int))
-            got = knn_indices(train, q, k=4)
-            dists = [euclidean(pts[perm][i], q) for i in got]
-            assert dists == [1.0, 1.0, 1.0, euclidean(pts[3], q)]
-            assert got.tolist()[:3] == sorted(got.tolist()[:3])
+            got = nearest_one(pts[perm], q, k=4)
+            dists = [distance(pts[perm][i], q) for i in got]
+            assert dists == [1.0, 1.0, 1.0, distance(pts[3], q)]
+            assert got[:3] == sorted(got[:3])
 
     def test_exclude_and_k_too_large(self):
-        train = Dataset(np.array([[0.0], [1.0], [2.0]]), np.zeros(3, dtype=int))
-        got = knn_indices(train, [0.1], k=2, exclude=0)
-        assert got.tolist() == [1, 2]
-        with pytest.raises(SkewbenchError, match="k="):
-            knn_indices(train, [0.1], k=3, exclude=0)
+        pts = [[0.0], [1.0], [2.0]]
+        assert nearest_one(pts, [0.1], k=2, exclude=0) == [1, 2]
+        # Exclusion is an infinite distance, not a range check: a k that needs
+        # the excluded point gets it last, however near it is.
+        assert nearest_one(pts, [0.1], k=3, exclude=0) == [1, 2, 0]
 
 
 def lattice_dataset(n: int = 47, seed: int = 2) -> Dataset:

@@ -1,18 +1,22 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewbench import classify, resample
 from skewbench.core import Dataset, RngSeed, SkewbenchError, summarize
 from skewbench.datagen import GenSpec, generate_imbalanced
-from skewbench.classify import knn_fit, knn_predict_batch, tree_fit, tree_predict_batch
+from skewbench.classify import (CLASSIFIERS, knn_fit, knn_predict_batch, tree_fit,
+                                tree_predict_batch)
 from skewbench.evaluation import (ConfusionMatrix, ExperimentSpec,
                                   KnnClassifier, TreeClassifier,
                                   auc, confusion, evaluate_folds, gmean,
                                   metrics_from, pivot_text,
                                   report_to_csv_text, run_experiment,
                                   stratified_kfold)
-from skewbench.resample import NCR, RO, Base, apply_method
+from skewbench.resample import CO, METHODS, NCR, RO, SMOTE, Base, Sparsity
 
 
 class TestConfusion:
@@ -233,8 +237,7 @@ class TestRunExperiment:
                     clusters = gt.subcluster_assignment[train_rows][
                         train.labels == minority]
                     rng = unit_seed.child("method", m_index).child("fold", f).generator()
-                    resampled = apply_method(train, method, rng,
-                                             minority_clusters=clusters)
+                    resampled = method.apply(train, rng, minority_clusters=clusters)
                     # Test rows are the untouched generated rows.
                     assert np.array_equal(ds.points[test_rows],
                                           ds.points[fold == f])
@@ -271,7 +274,7 @@ class TestRunExperiment:
 
 
 class TestEvaluateFolds:
-    def test_resampling_never_touches_test_rows(self):
+    def test_resampling_never_touches_test_rows(self, monkeypatch):
         ds, gt = generate_imbalanced(GenSpec(n_samples=180, class_ratio=(5, 1),
                                              seed=4, minority_subclusters=2,
                                              center_box=(0.0, 12.0),
@@ -279,20 +282,52 @@ class TestEvaluateFolds:
         minority = summarize(ds).minority_label
         fold = stratified_kfold(ds, 3, seed=5)
         seen: list[int] = []
-        original_apply = apply_method
+        original = resample.random_oversample
 
-        def spy(train, method, rng=None, minority_clusters=None):
+        def spy(train, rng):
             seen.append(train.n)
             assert train.n < ds.n  # strictly a training subset
-            return original_apply(train, method, rng, minority_clusters=minority_clusters)
+            return original(train, rng)
 
-        import skewbench.evaluation as evaluation
-        old = evaluation.apply_method
-        evaluation.apply_method = spy
-        try:
-            evaluate_folds(ds, fold, (RO(),), (KnnClassifier(),), RngSeed(1),
-                           minority, subclusters_full=gt.subcluster_assignment)
-        finally:
-            evaluation.apply_method = old
+        monkeypatch.setattr(resample, "random_oversample", spy)
+        evaluate_folds(ds, fold, (RO(),), (KnnClassifier(),), RngSeed(1),
+                       minority, subclusters_full=gt.subcluster_assignment)
         assert len(seen) == 3
         assert all(n == 120 for n in seen)
+
+
+# The module functions each config reaches through its module's global name.
+# Wrappers bound to those names (as perfbench's tracer binds them) must see
+# every call; Base reaches none, since it returns its input.
+REACHES = {Base: (), RO: ("random_oversample",), CO: ("cluster_oversample",),
+           SMOTE: ("smote",), NCR: ("ncr",), Sparsity: ("sparsity",),
+           KnnClassifier: ("knn_fit", "knn_predict_batch"),
+           TreeClassifier: ("tree_fit", "tree_predict_batch")}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("config", METHODS + CLASSIFIERS, ids=lambda c: c.name)
+    def test_evaluate_folds_reaches_the_module_function(self, monkeypatch, config):
+        calls: Counter[str] = Counter()
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for config_class, names in REACHES.items():
+            module = resample if config_class in METHODS else classify
+            for name in names:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        ds, gt = generate_imbalanced(GenSpec(n_samples=180, class_ratio=(5, 1),
+                                             seed=4, minority_subclusters=2,
+                                             center_box=(0.0, 12.0),
+                                             min_center_separation=3.0))
+        method = config() if config in METHODS else Base()
+        clf = config() if config in CLASSIFIERS else KnnClassifier()
+        evaluate_folds(ds, stratified_kfold(ds, 3, seed=5), (method,), (clf,),
+                       RngSeed(1), summarize(ds).minority_label,
+                       subclusters_full=gt.subcluster_assignment)
+        assert calls == Counter({name: 3 for name in REACHES[type(method)]
+                                 + REACHES[type(clf)]})

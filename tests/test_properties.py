@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.spatial import ConvexHull
 
-import skewbench.evaluation as evaluation
+import skewbench.resample as resample
 from skewbench.core import Dataset, RngSeed, summarize
 from skewbench.evaluation import KnnClassifier, evaluate_folds, stratified_kfold
 from skewbench.resample import RO, smote, sparsity
@@ -91,25 +91,23 @@ class TestStratifiedFoldBounds:
 class TestResampleInsideTrainingFoldOnly:
     N_CASES = 250
 
-    def test_resampler_sees_exactly_the_training_rows(self):
+    def test_resampler_sees_exactly_the_training_rows(self, monkeypatch):
+        received: list[np.ndarray] = []
+        original = resample.random_oversample
+
+        def spy(train, rng_):
+            received.append(train.points)
+            return original(train, rng_)
+
+        monkeypatch.setattr(resample, "random_oversample", spy)
         for case in range(self.N_CASES):
             rng = RngSeed(47_000 + case).generator()
             folds = int(rng.integers(2, 5))
             ds = random_two_class(rng, n_min=int(rng.integers(folds + 3, 16)))
             assignment = stratified_kfold(ds, folds, seed=case)
-            received: list[np.ndarray] = []
-            original = evaluation.apply_method
-
-            def spy(train, method, rng_=None, minority_clusters=None):
-                received.append(train.points)
-                return original(train, method, rng_, minority_clusters=minority_clusters)
-
-            evaluation.apply_method = spy
-            try:
-                evaluate_folds(ds, assignment, (RO(),), (KnnClassifier(k=1),),
-                               RngSeed(case), minority=1)
-            finally:
-                evaluation.apply_method = original
+            received.clear()
+            evaluate_folds(ds, assignment, (RO(),), (KnnClassifier(k=1),),
+                           RngSeed(case), minority=1)
             assert len(received) == folds
             for fold, train_points in enumerate(received):
                 expected = ds.points[assignment != fold]

@@ -4,8 +4,8 @@ import pytest
 from skewbench.core import Dataset, RngSeed, SkewbenchError, summarize
 from skewbench.datagen import GenSpec, generate_blobs, generate_imbalanced
 from skewbench.resample import (CO, NCR, RO, SMOTE, Base, Sparsity,
-                                apply_method, cluster_oversample, ncr,
-                                random_oversample, smote, sparsity)
+                                cluster_oversample, ncr, random_oversample,
+                                smote, sparsity)
 
 
 def rng(seed=0):
@@ -283,23 +283,22 @@ class TestBalanceInvariants:
 class TestApplyMethod:
     def test_base_is_identity(self):
         ds, _ = paper_shaped_dataset()
-        assert apply_method(ds, Base()) is ds
+        assert Base().apply(ds, rng()) is ds
 
     def test_dispatch_matches_direct_calls(self):
         ds, gt = paper_shaped_dataset()
         direct = random_oversample(ds, rng(123))
-        routed = apply_method(ds, RO(), rng(123))
+        routed = RO().apply(ds, rng(123))
         assert np.array_equal(direct.points, routed.points)
-        routed_co = apply_method(ds, CO(), rng(7),
-                                 minority_clusters=gt.minority_assignment())
+        routed_co = CO().apply(ds, rng(7), minority_clusters=gt.minority_assignment())
         direct_co = cluster_oversample(ds, rng(7), clusters=gt.minority_assignment())
         assert np.array_equal(direct_co.points, routed_co.points)
-        assert np.array_equal(apply_method(ds, NCR(k=3)).points, ncr(ds, 3).points)
-
-    def test_rng_required_for_stochastic_methods(self):
-        ds, _ = paper_shaped_dataset()
-        with pytest.raises(SkewbenchError, match="random generator"):
-            apply_method(ds, RO())
+        assert np.array_equal(NCR(k=3).apply(ds, rng()).points, ncr(ds, 3).points)
+        assert np.array_equal(SMOTE(k=3).apply(ds, rng(5)).points,
+                              smote(ds, 3, 100, rng(5)).points)
+        clusters = gt.minority_assignment()
+        assert np.array_equal(Sparsity(alpha=2.0).apply(ds, rng(), clusters).points,
+                              sparsity(ds, 2.0, minority_clusters=clusters).points)
 
     def test_method_configs_validate(self):
         with pytest.raises(SkewbenchError):
