@@ -273,12 +273,15 @@ class TestRunExperiment:
         assert len(rows) == 2 + 2  # title + header + one row per subcluster count
 
 
+def fold_dataset():
+    return generate_imbalanced(GenSpec(n_samples=180, class_ratio=(5, 1), seed=4,
+                                       minority_subclusters=2, center_box=(0.0, 12.0),
+                                       min_center_separation=3.0))
+
+
 class TestEvaluateFolds:
     def test_resampling_never_touches_test_rows(self, monkeypatch):
-        ds, gt = generate_imbalanced(GenSpec(n_samples=180, class_ratio=(5, 1),
-                                             seed=4, minority_subclusters=2,
-                                             center_box=(0.0, 12.0),
-                                             min_center_separation=3.0))
+        ds, gt = fold_dataset()
         minority = summarize(ds).minority_label
         fold = stratified_kfold(ds, 3, seed=5)
         seen: list[int] = []
@@ -320,10 +323,7 @@ class TestDispatch:
             module = resample if config_class in METHODS else classify
             for name in names:
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        ds, gt = generate_imbalanced(GenSpec(n_samples=180, class_ratio=(5, 1),
-                                             seed=4, minority_subclusters=2,
-                                             center_box=(0.0, 12.0),
-                                             min_center_separation=3.0))
+        ds, gt = fold_dataset()
         method = config() if config in METHODS else Base()
         clf = config() if config in CLASSIFIERS else KnnClassifier()
         evaluate_folds(ds, stratified_kfold(ds, 3, seed=5), (method,), (clf,),
