@@ -11,10 +11,11 @@ queries)`, calling fit and predict by their global names as `resample` does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, SkewbenchError, nearest, summarize
+from .core import Dataset, SkewbenchError, _frozen_array, _row_blocks, nearest, summarize
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,36 @@ class TreeNode:
         return self.left < 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeModel:
-    nodes: tuple[TreeNode, ...]
+    """A fitted tree as one array per node field, nodes numbered breadth-first.
+
+    Node 0 is the root. A leaf has feature, left and right -1 and threshold 0.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    minority_count: np.ndarray
+    majority_count: np.ndarray
     max_depth: int
     min_leaf: int
     minority_label: int | None
     majority_label: int
     n_features: int
+
+    def __post_init__(self) -> None:
+        for name in ("feature", "left", "right", "minority_count", "majority_count"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), np.int64))
+        object.__setattr__(self, "threshold", _frozen_array(self.threshold, np.float64))
+
+    @cached_property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        """The same nodes as TreeNode records, built on first use."""
+        return tuple(map(TreeNode, self.feature.tolist(), self.threshold.tolist(),
+                         self.left.tolist(), self.right.tolist(),
+                         self.minority_count.tolist(), self.majority_count.tolist()))
 
 
 def _gini_weighted(m_left, n_left, m_total, n_total):
@@ -149,98 +172,155 @@ def _gini_weighted(m_left, n_left, m_total, n_total):
     return (n_left * g_l + n_right * g_r) / n_total
 
 
-def _best_split(points: np.ndarray, is_min: np.ndarray, min_leaf: int):
-    """Minimal weighted-Gini split, ties to (lower feature, lower threshold)."""
-    n = len(points)
-    m_total = int(is_min.sum())
-    best = None
-    for f in range(points.shape[1]):
-        values = points[:, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sm = np.cumsum(is_min[order])
-        cut = np.flatnonzero(sv[:-1] < sv[1:]) + 1  # left sizes at value boundaries
-        if len(cut) == 0:
+def _level_splits(points: np.ndarray, is_min: np.ndarray, sorted_rows: np.ndarray,
+                  live: np.ndarray, node: np.ndarray, size: np.ndarray,
+                  minority: np.ndarray, is_open: np.ndarray, min_leaf: int,
+                  feature: np.ndarray, threshold: np.ndarray) -> None:
+    """Write the best split of every open node of one level into `feature` and
+    `threshold`; open nodes with no candidate keep feature -1.
+
+    `sorted_rows[f]` holds all rows in (value of f, row) order, `live` marks
+    the rows of open nodes and `node` maps a row to its node.
+    """
+    open_size = np.where(is_open, size, 0)
+    rows_before = np.cumsum(open_size) - open_size  # live rows in earlier nodes
+    lowest = np.full(len(size), np.inf)
+    # Blocks of features keep each block's temporaries near _BLOCK_BYTES. A
+    # later block wins only with a strictly lower impurity: ties keep the
+    # lower feature.
+    for block in _row_blocks(len(sorted_rows), sorted_rows[0]):
+        part = sorted_rows[block]
+        part = part[live[part]].reshape(len(part), -1)
+        d, m = part.shape
+        # A stable sort by node makes one segment per (node, feature), each in
+        # (value, row) order: the order a stable sort of the node's own values
+        # gives. Keys of 16 bits or less get numpy's radix sort.
+        key = node[part].astype(np.min_scalar_type(len(size) - 1))
+        order = np.argsort(key.ravel(), kind="stable")
+        rows = part.ravel()[order]
+        local = order // m  # feature index within the block
+        feat = local + block.start
+        owner = node[rows]
+        values = points.ravel()[rows * points.shape[1] + feat]
+        # Rows left of a cut after each entry, counted within its segment.
+        n_left = np.arange(d * m) - d * rows_before[owner] - local * size[owner] + 1
+        n_right = size[owner] - n_left
+        cand = np.flatnonzero((values[:-1] < values[1:]) & (n_left[:-1] >= min_leaf)
+                              & (n_right[:-1] >= min_leaf))
+        if len(cand) == 0:
             continue
-        cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
-        if len(cut) == 0:
-            continue
-        impurity = _gini_weighted(sm[cut - 1], cut, m_total, n)
-        pos = int(np.argmin(impurity))  # first minimum: lowest threshold wins
-        score = float(impurity[pos])
-        if best is None or score < best[0]:
-            left_size = int(cut[pos])
-            threshold = (float(sv[left_size - 1]) + float(sv[left_size])) / 2.0
-            best = (score, f, threshold)
-    return best
+        cum = np.concatenate(([0], np.cumsum(is_min[rows])))
+        m_left = cum[cand + 1] - cum[cand + 1 - n_left[cand]]
+        owner = owner[cand]
+        impurity = _gini_weighted(m_left, n_left[cand], minority[owner], size[owner])
+        # Candidates run in (node, feature, threshold) order, so the first one at its
+        # node's lowest impurity has the lower feature, then the lower threshold.
+        is_start = np.concatenate(([True], owner[1:] != owner[:-1]))
+        starts = np.flatnonzero(is_start)
+        at_lowest = impurity == np.minimum.reduceat(impurity, starts)[np.cumsum(is_start) - 1]
+        pick = np.minimum.reduceat(np.where(at_lowest, np.arange(len(cand)), len(cand)), starts)
+        pick = pick[impurity[pick] < lowest[owner[pick]]]
+        at, best = owner[pick], cand[pick]
+        lowest[at] = impurity[pick]
+        feature[at] = feat[best]
+        with np.errstate(over="ignore"):  # midpoints of values near the float limit
+            threshold[at] = (values[best] + values[best + 1]) / 2.0
 
 
 def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
              min_leaf: int = TreeClassifier.min_leaf,
              minority_label: int | None = None) -> TreeModel:
-    """Greedy binary CART growth on Gini impurity.
+    """Greedy binary CART growth on Gini impurity, one depth level at a time.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     feature values. A node splits whenever a candidate satisfies min_leaf on
     both sides and the node is impure and above max_depth, even at zero gain
-    (zero-gain splits are what make XOR-style data separable). Mixed labels
-    with identical features collapse into a single leaf.
+    (zero-gain splits are what make XOR-style data separable). The lowest
+    weighted Gini wins, ties going to the lower feature, then the lower
+    threshold. Mixed labels with identical features collapse into a single
+    leaf. Rows with a feature value <= threshold go left.
     """
     TreeClassifier(max_depth=max_depth, min_leaf=min_leaf)  # parameter validation
     if ds.n == 0:
         raise SkewbenchError("cannot fit a tree on an empty dataset")
     minority, majority = _resolve_roles(ds, minority_label)
     is_min = (ds.labels == minority) if minority is not None else np.zeros(ds.n, dtype=bool)
+    points = ds.points
 
-    nodes: list[TreeNode] = []
+    # Each feature's rows sorted once; a node's rows keep this order.
+    sorted_rows = np.argsort(points.T, axis=1, kind="stable")
+    rows = np.arange(ds.n)  # rows in the nodes of the current level
+    node = np.zeros(ds.n, dtype=np.intp)  # node of each such row within its level
+    size = np.array([ds.n])
+    count_min = np.array([np.count_nonzero(is_min)])
+    levels = []
+    depth = n_nodes = 0
+    while True:
+        width = len(size)
+        n_nodes += width
+        feature = np.full(width, -1)
+        threshold = np.zeros(width)
+        left = np.full(width, -1)
+        levels.append((feature, threshold, left, count_min, size))  # splits filled in below
+        is_open = ((count_min > 0) & (count_min < size) & (size >= 2 * min_leaf)
+                   & (depth < max_depth))
+        if not is_open.any():
+            break
+        rows = rows[is_open[node[rows]]]
+        live = np.zeros(ds.n, dtype=bool)
+        live[rows] = True
+        _level_splits(points, is_min, sorted_rows, live, node, size, count_min, is_open,
+                      min_leaf, feature, threshold)
+        split = np.flatnonzero(feature >= 0)
+        if len(split) == 0:
+            break
+        left[split] = n_nodes + 2 * np.arange(len(split))
 
-    def build(rows: np.ndarray, depth: int) -> int:
-        m = int(is_min[rows].sum())
-        count_maj = len(rows) - m
-        index = len(nodes)
-        nodes.append(TreeNode(-1, 0.0, -1, -1, m, count_maj))
-        pure = m == 0 or count_maj == 0
-        if pure or depth >= max_depth or len(rows) < 2 * min_leaf:
-            return index
-        found = _best_split(ds.points[rows], is_min[rows], min_leaf)
-        if found is None:
-            return index
-        _, feature, threshold = found
-        mask = ds.points[rows, feature] <= threshold
-        left = build(rows[mask], depth + 1)
-        right = build(rows[~mask], depth + 1)
-        nodes[index] = TreeNode(feature, threshold, left, right, m, count_maj)
-        return index
+        slot = np.full(width, -1)
+        slot[split] = np.arange(len(split))
+        rows = rows[slot[node[rows]] >= 0]
+        at = node[rows]
+        # The children of the q-th split node are 2q (left) and 2q + 1.
+        node[rows] = 2 * slot[at] + ~(points[rows, feature[at]] <= threshold[at])
+        size = np.bincount(node[rows], minlength=2 * len(split))
+        count_min = np.bincount(node[rows[is_min[rows]]], minlength=2 * len(split))
+        depth += 1
 
-    build(np.arange(ds.n), 0)
-    return TreeModel(nodes=tuple(nodes), max_depth=max_depth, min_leaf=min_leaf,
-                     minority_label=minority, majority_label=majority, n_features=ds.d)
+    feature, threshold, left, count_min, size = (np.concatenate(c) for c in zip(*levels))
+    return TreeModel(feature=feature, threshold=threshold, left=left,
+                     right=np.where(left < 0, -1, left + 1), minority_count=count_min,
+                     majority_count=size - count_min, max_depth=max_depth,
+                     min_leaf=min_leaf, minority_label=minority, majority_label=majority,
+                     n_features=ds.d)
 
 
 def tree_predict_batch(model: TreeModel, queries) -> tuple[np.ndarray, np.ndarray]:
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if q.shape[1] != model.n_features:
         raise SkewbenchError("query dimension does not match training data")
-    labels = np.empty(len(q), dtype=np.int64)
-    scores = np.empty(len(q))
-    for i, row in enumerate(q):
-        node = model.nodes[0]
-        while not node.is_leaf:
-            node = model.nodes[node.left if row[node.feature] <= node.threshold else node.right]
-        m, mj = node.minority_count, node.majority_count
-        if model.minority_label is not None and m > mj:
-            labels[i] = model.minority_label
-        else:
-            labels[i] = model.majority_label
-        scores[i] = (m + 1) / (m + mj + 2)  # Laplace-smoothed minority share
-    return labels, scores
+    # All queries descend together, one level per pass, until each is at a leaf.
+    at = np.zeros(len(q), dtype=np.intp)
+    todo = np.flatnonzero(model.left[at] >= 0)
+    while len(todo):
+        node = at[todo]
+        node = np.where(q[todo, model.feature[node]] <= model.threshold[node],
+                        model.left[node], model.right[node])
+        at[todo] = node
+        todo = todo[model.left[node] >= 0]
+    m, mj = model.minority_count[at], model.majority_count[at]
+    if model.minority_label is None:
+        labels = np.full(len(q), model.majority_label, dtype=np.int64)
+    else:
+        labels = np.where(m > mj, model.minority_label, model.majority_label).astype(np.int64)
+    return labels, (m + 1) / (m + mj + 2)  # Laplace-smoothed minority share
 
 
 def tree_to_text(model: TreeModel) -> str:
-    """Plain-text dump, one node per line, indentation equal to depth."""
+    """Plain-text dump, one node per line in depth-first order, indented by depth."""
     lines: list[str] = []
-
-    def walk(index: int, depth: int) -> None:
+    todo = [(0, 0)]
+    while todo:
+        index, depth = todo.pop()
         node = model.nodes[index]
         pad = "  " * depth
         if node.is_leaf:
@@ -248,8 +328,5 @@ def tree_to_text(model: TreeModel) -> str:
                          f"majority={node.majority_count}")
         else:
             lines.append(f"{pad}split f{node.feature} <= {node.threshold:g}")
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-    walk(0, 0)
+            todo += [(node.right, depth + 1), (node.left, depth + 1)]
     return "\n".join(lines) + "\n"

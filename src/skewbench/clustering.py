@@ -104,7 +104,8 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
     kept: list[int] = []
     half_sq = (bandwidth / 2.0) ** 2
     for i in order:
-        if all(((modes[i] - modes[j]) ** 2).sum() >= half_sq for j in kept):
+        # Each row sum adds one mode's coordinates in the order a 1-D sum does.
+        if (((modes[kept] - modes[i]) ** 2).sum(axis=1) >= half_sq).all():
             kept.append(i)
     centers = modes[kept]
 

@@ -163,6 +163,27 @@ class TestReferenceOracle:
                 assert np.array_equal(got.centers.view(np.uint64), centers.view(np.uint64))
                 assert np.array_equal(got.assignment, assignment)
 
+    @pytest.mark.parametrize("dims", [1, 2, 3, 9])
+    def test_merged_modes_equal_reference(self, dims):
+        # One shift step leaves 300 distinct modes close together, most of
+        # which fall within bandwidth/2 of a stronger one and merge.
+        pts = np.random.default_rng(5).normal(size=(300, dims))
+        got = mean_shift(pts, np.sqrt(dims), max_iter=1)
+        centers, assignment = reference.mean_shift(pts, np.sqrt(dims), max_iter=1)
+        assert 1 < got.n_clusters < 100
+        assert np.array_equal(got.centers.view(np.uint64), centers.view(np.uint64))
+        assert np.array_equal(got.assignment, assignment)
+
+    def test_every_mode_kept_equals_reference(self):
+        # Windows this narrow hold only their own seed: all 700 modes survive,
+        # each checked against every mode kept before it.
+        pts = np.random.default_rng(0).uniform(0, 100, size=(700, 2))
+        got = mean_shift(pts, 0.05)
+        centers, assignment = reference.mean_shift(pts, 0.05)
+        assert got.n_clusters == 700
+        assert np.array_equal(got.centers.view(np.uint64), centers.view(np.uint64))
+        assert np.array_equal(got.assignment, assignment)
+
 
 @pytest.mark.parametrize("call", ["estimate_bandwidth", "mean_shift"])
 def test_peak_memory_bounded_at_n2000(call):
