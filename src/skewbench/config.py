@@ -12,14 +12,11 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .core import SkewbenchError
+from .core import ConfigError, SkewbenchError
 from .datagen import GenSpec
 from .classify import CLASSIFIERS, ClassifierConfig
 from .evaluation import ExperimentSpec
 from .resample import METHODS, MethodConfig
-
-class ConfigError(SkewbenchError):
-    """Invalid configuration or command usage (CLI exit code 2)."""
 
 
 # GenSpec fields whose config key is not the field name.

@@ -15,6 +15,10 @@ class SkewbenchError(ValueError):
     """Invalid data, violated precondition, or infeasible operation."""
 
 
+class ConfigError(SkewbenchError):
+    """Invalid configuration or command usage (CLI exit code 2)."""
+
+
 class ExampleKind(IntEnum):
     """Role of a point with respect to the class structure."""
 
@@ -148,16 +152,21 @@ def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order gives the same bits with no n x m x d temporary; from 8 it sums
     pairwise, which the broadcast form keeps.
     """
+    sq = _unchecked_sq(a, b)
+    if not np.all(np.isfinite(sq)):
+        raise SkewbenchError("squared distances overflow: coordinates too far apart")
+    return sq
+
+
+def _unchecked_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`pairwise_sq` without the overflow check: an overflowing pair is inf."""
     with np.errstate(over="ignore"):
         if a.shape[1] < 8:
             sq = (a[:, 0, None] - b[None, :, 0]) ** 2
             for j in range(1, a.shape[1]):
                 sq += (a[:, j, None] - b[None, :, j]) ** 2
-        else:
-            sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
-    if not np.all(np.isfinite(sq)):
-        raise SkewbenchError("squared distances overflow: coordinates too far apart")
-    return sq
+            return sq
+        return ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
 
 
 def nearest(points: np.ndarray, queries: np.ndarray, k: int,
@@ -166,7 +175,23 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int,
 
     Tied distances break toward the lower point index. `exclude` names one
     point index per query, ranked last: self-exclusion for any k < len(points).
+
+    Calls whose full distance matrix exceeds `_BLOCK_BYTES` sweep the queries
+    in feature-0 order (`_sweep_nearest`), skipping the points that cannot be
+    among a block's k nearest; the result is the same, bit for bit.
     """
+    if not 1 <= k <= len(points):
+        raise SkewbenchError(f"cannot take the {k} nearest of {len(points)} points")
+    if (8 * len(queries) * len(points) > _BLOCK_BYTES
+            and k + (exclude is not None) <= len(points)
+            and _box_sq_finite(points, queries)):
+        return _sweep_nearest(points, queries, k, exclude)
+    return _scan(points, queries, k, exclude)
+
+
+def _scan(points: np.ndarray, queries: np.ndarray, k: int,
+          exclude: np.ndarray | None) -> np.ndarray:
+    """`nearest` by a full scan: every query against every point, in row blocks."""
     out = np.empty((len(queries), k), dtype=np.intp)
     for rows in _row_blocks(len(queries), points):
         sq = pairwise_sq(queries[rows], points)
@@ -174,6 +199,113 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int,
             sq[np.arange(len(sq)), exclude[rows]] = np.inf
         out[rows] = _topk(sq, k)
     return out
+
+
+def _box_sq_finite(points: np.ndarray, queries: np.ndarray) -> bool:
+    """Whether the squared diagonal of the box around points and queries is finite.
+
+    It bounds every pair's squared distance, computed by the same code, from
+    above: subtracting, squaring and adding non-negative terms are monotone
+    under round-to-nearest. Where it is not finite the full path runs, so the
+    overflow error fires on exactly the inputs where some pair overflows.
+    """
+    lo = np.minimum(points.min(axis=0), queries.min(axis=0))
+    hi = np.maximum(points.max(axis=0), queries.max(axis=0))
+    return bool(np.isfinite(_unchecked_sq(lo[None], hi[None]))[0, 0])
+
+
+# The fixed numpy cost of one more group pass (`_candidate_sq` and `_topk`),
+# counted in the pair distances that take as long: 8-16k at d = 2 on 2 vCPUs.
+_GROUP_PAIRS = 1 << 13
+
+
+def _sweep_nearest(points: np.ndarray, queries: np.ndarray, k: int,
+                   exclude: np.ndarray | None) -> np.ndarray:
+    """`nearest` over blocks of about 2*sqrt(q) queries taken in feature-0
+    order, each against only the points that can be among its k nearest.
+
+    The bounds test of exact nearest-neighbour search (Friedman, Bentley &
+    Finkel, ACM TOMS 1977) on one axis. A query's k-th squared distance into
+    a first set of points near the block bounds its true k-th distance from
+    above. A point whose squared feature-0 gap to the block's range exceeds
+    the largest bound u of a group of queries has a computed distance above
+    u, since a sum of non-negative terms is at least each term, so it can be
+    neither taken nor tied, and is skipped. The kept points stay in ascending
+    index order with the distances `pairwise_sq` gives them on the full path,
+    so `_topk` returns the same indices. Needs k (+1 with `exclude`) <=
+    len(points).
+    """
+    out = np.empty((len(queries), k), dtype=np.intp)
+    need = k + (exclude is not None)
+    x = points[:, 0]
+    by_x = np.argsort(x, kind="stable")
+    sorted_x = x[by_x]
+    queries_by_x = np.argsort(queries[:, 0], kind="stable")
+    size = 2 * math.isqrt(len(queries))
+    for start in range(0, len(queries), size):
+        block = queries_by_x[start:start + size]
+        lo, hi = queries[block[0], 0], queries[block[-1], 0]
+        # Points inside the block's feature-0 range, widened by `need` on each
+        # side, which leaves at least `need` of them.
+        first = np.sort(by_x[max(0, np.searchsorted(sorted_x, lo, "left") - need):
+                             np.searchsorted(sorted_x, hi, "right") + need])
+        bound = np.concatenate([
+            np.partition(sq, k - 1, axis=1)[:, k - 1]
+            for _, sq in _candidate_sq(points, queries, block, first, exclude)])
+        groups, pairs = _split_by_bound(bound, sorted_x, lo, hi)
+        if len(block) * (len(points) - len(first)) < pairs:
+            # Skipping would save fewer pair distances than the first set
+            # cost: scan all points for the rest of the queries.
+            rest = np.sort(queries_by_x[start:])
+            out[rest] = _scan(points, queries[rest], k,
+                              None if exclude is None else exclude[rest])
+            return out
+        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+        gap *= gap
+        for group in groups:
+            kept = np.flatnonzero(gap <= bound[group].max())
+            for rows, sq in _candidate_sq(points, queries, block[group], kept, exclude):
+                out[rows] = kept[_topk(sq, k)]
+    return out
+
+
+def _split_by_bound(bound: np.ndarray, sorted_x: np.ndarray, lo: float,
+                    hi: float) -> tuple[list[np.ndarray], int]:
+    """One or two groups of a block's queries, split by their bounds, and the
+    pair distances the groups are estimated to cost.
+
+    A few far-off queries would widen the whole block's window; they go in a
+    group of their own when the feature-0 window counts say that costs fewer
+    pair distances, counting `_GROUP_PAIRS` for the extra group.
+    """
+    order = np.argsort(bound, kind="stable")
+    reach = np.sqrt(bound[order])
+    width = (np.searchsorted(sorted_x, hi + reach, "right")
+             - np.searchsorted(sorted_x, lo - reach, "left"))
+    whole = len(order) * int(width[-1])
+    near = np.arange(1, len(order))
+    cost = near * width[:-1] + (len(order) - near) * width[-1] + _GROUP_PAIRS
+    if not len(cost) or cost.min() >= whole:
+        return [order], whole
+    cut = int(np.argmin(cost)) + 1
+    return [order[:cut], order[cut:]], int(cost[cut - 1])
+
+
+def _candidate_sq(points: np.ndarray, queries: np.ndarray, picks: np.ndarray,
+                  candidates: np.ndarray, exclude: np.ndarray | None):
+    """(query indices, squared distances) per row block of `queries[picks]`
+    against `points[candidates]`, with each row's excluded point at inf.
+    `candidates` must be ascending."""
+    pts = points[candidates]
+    for rows in _row_blocks(len(picks), pts):
+        rows = picks[rows]
+        sq = pairwise_sq(queries[rows], pts)
+        if exclude is not None:
+            ex = exclude[rows]
+            col = np.minimum(np.searchsorted(candidates, ex), len(candidates) - 1)
+            hit = np.flatnonzero(candidates[col] == ex)
+            sq[hit, col[hit]] = np.inf
+        yield rows, sq
 
 
 def _topk(sq: np.ndarray, k: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classify import ClassifierConfig, KnnClassifier, TreeClassifier
-from .core import Dataset, RngSeed, SkewbenchError, as_seed, summarize
+from .core import ConfigError, Dataset, RngSeed, SkewbenchError, as_seed, summarize
 from .datagen import GenSpec, generate_imbalanced
 from .resample import Base, MethodConfig, check_spread
 
@@ -82,16 +82,14 @@ def metrics_from(cm: ConfusionMatrix) -> Metrics:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; a run of equal values at sorted positions i..j gets (i + j) / 2 + 1."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1]]))
+    runs = np.diff(np.append(starts, len(values)))
+    ends = starts + runs - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, runs)
     return ranks
 
 
@@ -117,7 +115,7 @@ def stratified_kfold(ds: Dataset, folds: int, seed: RngSeed | int) -> np.ndarray
     both classes whenever the minority count reaches the fold count.
     """
     if folds < 2:
-        raise SkewbenchError("folds must be >= 2")
+        raise ConfigError("folds must be >= 2")
     s = summarize(ds)
     if s.counts[s.minority_label] < folds:
         raise SkewbenchError(
@@ -277,16 +275,18 @@ def aggregate(values: list[Metrics]) -> tuple[dict[str, float], dict[str, float]
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else SKEWBENCH_THREADS (0 = auto)."""
+    name = "thread count"
     if threads is None:
+        name = THREADS_ENV_VAR
         raw = os.environ.get(THREADS_ENV_VAR, "1")
         try:
             threads = int(raw)
         except ValueError:
-            raise SkewbenchError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
+            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads < 1:
-        raise SkewbenchError("thread count must be >= 1 (or 0 for auto)")
+        raise ConfigError(f"{name} must be >= 1 (or 0 for auto), got {threads}")
     return threads
 
 

@@ -377,6 +377,26 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
+    # A fold count or thread count no run can use is a setting error, as
+    # `exp.folds = 1` is, whichever way it arrives.
+    @pytest.mark.parametrize("folds", ["1", "0", "-3"])
+    def test_eval_bad_folds_exit_2(self, tmp_path, capsys, folds):
+        ds, _ = generate_imbalanced(GenSpec(n_samples=60, seed=5))
+        write_dataset_csv(ds, tmp_path / "in.csv")
+        assert main(["eval", str(tmp_path / "in.csv"), "--folds", folds]) == 2
+        assert capsys.readouterr().err == "error: folds must be >= 2\n"
+
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_bad_threads_exit_2(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("SKEWBENCH_THREADS", threads)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("exp.sizes = 60\nexp.repeats = 1\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SKEWBENCH_THREADS must be ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch):
         def no_memory(spec):
             raise MemoryError("Unable to allocate 35.3 GiB for an array")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbench import classify, resample
+from skewbench import classify, evaluation, resample
 from skewbench.core import Dataset, RngSeed, SkewbenchError, summarize
 from skewbench.datagen import GenSpec, generate_imbalanced
 from skewbench.classify import (CLASSIFIERS, knn_fit, knn_predict_batch, tree_fit,
@@ -123,6 +123,51 @@ class TestAuc:
                     total += 0.5
         expected = total / (len(pos) * len(neg))
         assert auc(scores, truth, minority=1) == pytest.approx(expected, abs=1e-12)
+
+
+def loop_midranks(values: np.ndarray) -> np.ndarray:
+    """The per-element loop `evaluation._midranks` replaced, kept as its oracle."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    @staticmethod
+    def tree_scores() -> np.ndarray:
+        # A shallow tree's leaf fractions: few distinct values, long runs.
+        ds, _ = generate_imbalanced(GenSpec(n_samples=200, class_ratio=(4, 1), seed=3))
+        model = tree_fit(ds, max_depth=3, min_leaf=5)
+        return tree_predict_batch(model, ds.points)[1]
+
+    @pytest.mark.parametrize("case", ["tree", "all_equal", "one", "empty", "nan_and_zeros"])
+    def test_bits_equal_loop(self, case):
+        values = {
+            "tree": self.tree_scores,
+            "all_equal": lambda: np.full(17, 0.25),
+            "one": lambda: np.array([0.7]),
+            "empty": lambda: np.array([]),
+            "nan_and_zeros": lambda: np.array([0.0, np.nan, -0.0, 1.0, np.nan, 0.0, 1.0]),
+        }[case]()
+        if case == "tree":
+            assert len(np.unique(values)) < len(values) // 4
+        got = evaluation._midranks(values)
+        assert np.array_equal(got.view(np.uint64), loop_midranks(values).view(np.uint64))
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_equal_loop_on_small_integers(self, values):
+        values = np.array(values, dtype=np.float64) / 4.0
+        got = evaluation._midranks(values)
+        assert np.array_equal(got.view(np.uint64), loop_midranks(values).view(np.uint64))
 
 
 class TestStratifiedKfold:

@@ -5,8 +5,10 @@
 `resample` (co, ncr, smote, sparsity) -> `eval` -> `plot --show-centers`
 (2-D only, the one dimension `plot` renders). Together they cover the
 column-wise and the broadcast branch of `core.pairwise_sq`, the neighbour
-top-k and MeanShift. A change that alters one output byte fails here; only a
-change meant to alter outputs may rewrite the file:
+top-k and MeanShift. At n = 300 no `core.nearest` call is large enough for
+its feature-0 sweep, so each digest is checked again with `core._BLOCK_BYTES`
+shrunk until calls go through the sweep. A change that alters one output
+byte fails here; only a change meant to alter outputs may rewrite the file:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from skewbench import core
 from skewbench.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,6 +93,40 @@ def test_pipeline_matches_golden(tmp_path, dims):
     want = json.loads(DIGESTS.read_text())
     got = pipeline_digests(tmp_path, dims)
     assert got == {key: want[key] for key in want if key.startswith(f"d{dims}/")}
+
+
+def shrink_blocks(monkeypatch, block_bytes: int) -> list[int]:
+    """Set `core._BLOCK_BYTES` and record the query count of every sweep."""
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+    sweeps = []
+    sweep = core._sweep_nearest
+
+    def spy(points, queries, k, exclude):
+        sweeps.append(len(queries))
+        return sweep(points, queries, k, exclude)
+
+    monkeypatch.setattr(core, "_sweep_nearest", spy)
+    return sweeps
+
+
+# At 64 KiB the smoke experiment's calls (40 queries against at most 136
+# points) still fit one block; 8 KiB sends them through the sweep too.
+def test_swept_smoke_experiment_matches_golden(tmp_path, monkeypatch):
+    want = json.loads(DIGESTS.read_text())
+    sweeps = shrink_blocks(monkeypatch, 8 << 10)
+    got = smoke_digests(tmp_path)
+    assert got == {key: want[key] for key in got}
+    assert sweeps
+
+
+@pytest.mark.parametrize("block_kib", [64, 8])
+@pytest.mark.parametrize("dims", DIMS)
+def test_swept_pipeline_matches_golden(tmp_path, monkeypatch, dims, block_kib):
+    want = json.loads(DIGESTS.read_text())
+    sweeps = shrink_blocks(monkeypatch, block_kib << 10)
+    got = pipeline_digests(tmp_path, dims)
+    assert got == {key: want[key] for key in want if key.startswith(f"d{dims}/")}
+    assert sweeps
 
 
 if __name__ == "__main__":
