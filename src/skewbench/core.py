@@ -214,11 +214,6 @@ def _box_sq_finite(points: np.ndarray, queries: np.ndarray) -> bool:
     return bool(np.isfinite(_unchecked_sq(lo[None], hi[None]))[0, 0])
 
 
-# The fixed numpy cost of one more group pass (`_candidate_sq` and `_topk`),
-# counted in the pair distances that take as long: 8-16k at d = 2 on 2 vCPUs.
-_GROUP_PAIRS = 1 << 13
-
-
 def _sweep_nearest(points: np.ndarray, queries: np.ndarray, k: int,
                    exclude: np.ndarray | None) -> np.ndarray:
     """`nearest` over blocks of about 2*sqrt(q) queries taken in feature-0
@@ -228,12 +223,12 @@ def _sweep_nearest(points: np.ndarray, queries: np.ndarray, k: int,
     Finkel, ACM TOMS 1977) on one axis. A query's k-th squared distance into
     a first set of points near the block bounds its true k-th distance from
     above. A point whose squared feature-0 gap to the block's range exceeds
-    the largest bound u of a group of queries has a computed distance above
-    u, since a sum of non-negative terms is at least each term, so it can be
-    neither taken nor tied, and is skipped. The kept points stay in ascending
-    index order with the distances `pairwise_sq` gives them on the full path,
-    so `_topk` returns the same indices. Needs k (+1 with `exclude`) <=
-    len(points).
+    u, the largest bound over the block's queries, has a computed distance
+    above u, since a sum of non-negative terms is at least each term, so it
+    can be neither taken nor tied, and is skipped. The kept points stay in
+    ascending index order with the distances `pairwise_sq` gives them on the
+    full path, so `_topk` returns the same indices. Needs k (+1 with
+    `exclude`) <= len(points).
     """
     out = np.empty((len(queries), k), dtype=np.intp)
     need = k + (exclude is not None)
@@ -249,46 +244,14 @@ def _sweep_nearest(points: np.ndarray, queries: np.ndarray, k: int,
         # side, which leaves at least `need` of them.
         first = np.sort(by_x[max(0, np.searchsorted(sorted_x, lo, "left") - need):
                              np.searchsorted(sorted_x, hi, "right") + need])
-        bound = np.concatenate([
-            np.partition(sq, k - 1, axis=1)[:, k - 1]
-            for _, sq in _candidate_sq(points, queries, block, first, exclude)])
-        groups, pairs = _split_by_bound(bound, sorted_x, lo, hi)
-        if len(block) * (len(points) - len(first)) < pairs:
-            # Skipping would save fewer pair distances than the first set
-            # cost: scan all points for the rest of the queries.
-            rest = np.sort(queries_by_x[start:])
-            out[rest] = _scan(points, queries[rest], k,
-                              None if exclude is None else exclude[rest])
-            return out
+        u = max(np.partition(sq, k - 1, axis=1)[:, k - 1].max()
+                for _, sq in _candidate_sq(points, queries, block, first, exclude))
         gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
         gap *= gap
-        for group in groups:
-            kept = np.flatnonzero(gap <= bound[group].max())
-            for rows, sq in _candidate_sq(points, queries, block[group], kept, exclude):
-                out[rows] = kept[_topk(sq, k)]
+        kept = np.flatnonzero(gap <= u)
+        for rows, sq in _candidate_sq(points, queries, block, kept, exclude):
+            out[rows] = kept[_topk(sq, k)]
     return out
-
-
-def _split_by_bound(bound: np.ndarray, sorted_x: np.ndarray, lo: float,
-                    hi: float) -> tuple[list[np.ndarray], int]:
-    """One or two groups of a block's queries, split by their bounds, and the
-    pair distances the groups are estimated to cost.
-
-    A few far-off queries would widen the whole block's window; they go in a
-    group of their own when the feature-0 window counts say that costs fewer
-    pair distances, counting `_GROUP_PAIRS` for the extra group.
-    """
-    order = np.argsort(bound, kind="stable")
-    reach = np.sqrt(bound[order])
-    width = (np.searchsorted(sorted_x, hi + reach, "right")
-             - np.searchsorted(sorted_x, lo - reach, "left"))
-    whole = len(order) * int(width[-1])
-    near = np.arange(1, len(order))
-    cost = near * width[:-1] + (len(order) - near) * width[-1] + _GROUP_PAIRS
-    if not len(cost) or cost.min() >= whole:
-        return [order], whole
-    cut = int(np.argmin(cost)) + 1
-    return [order[:cut], order[cut:]], int(cost[cut - 1])
 
 
 def _candidate_sq(points: np.ndarray, queries: np.ndarray, picks: np.ndarray,

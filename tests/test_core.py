@@ -226,20 +226,6 @@ class TestNearest:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    # The sweep runs once 8*q*n bytes exceed _BLOCK_BYTES. The spy records
-    # the query count of every sweep, so a test can tell that it ran.
-    def force_sweep(self, monkeypatch, block_bytes):
-        monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
-        sweeps = []
-        sweep = core._sweep_nearest
-
-        def spy(points, queries, k, exclude):
-            sweeps.append(len(queries))
-            return sweep(points, queries, k, exclude)
-
-        monkeypatch.setattr(core, "_sweep_nearest", spy)
-        return sweeps
-
     @staticmethod
     def sweep_points(kind, dims, rng):
         if kind == "lattice":
@@ -257,8 +243,8 @@ class TestNearest:
             pts = rng.integers(0, 2, size=(60, dims)).astype(np.float64)
             pts[:, 0] = rng.permutation(60) * 0.75
             return pts
-        # Dense clusters, a sparse spread and far-off points: blocks with
-        # one far query split in two, and a few windows skip nothing.
+        # Dense clusters, a sparse spread and far-off points: a block with
+        # one far query keeps a wide window, and a few windows skip nothing.
         return np.concatenate([rng.normal(size=(30, dims)) * 0.1,
                                rng.uniform(-3, 3, size=(26, dims)),
                                rng.uniform(-40, 40, size=(4, dims))])
@@ -267,7 +253,7 @@ class TestNearest:
     @pytest.mark.parametrize("kind", ["lattice", "ro_duplicates", "one_x", "spaced_x",
                                       "clusters"])
     @pytest.mark.parametrize("dims", [1, 2, 3, 9])
-    def test_sweep_matches_brute_force(self, monkeypatch, dims, kind, block_bytes):
+    def test_sweep_matches_brute_force(self, force_sweep, dims, kind, block_bytes):
         rng = np.random.default_rng(dims)
         pts = self.sweep_points(kind, dims, rng)
         n = len(pts)
@@ -276,7 +262,7 @@ class TestNearest:
         # The brute-force order of all points; the k nearest are its first k.
         want = brute_nearest(pts, queries, n)
         want_ex = brute_nearest(pts, pts, n - 1, exclude=self_ex)
-        sweeps = self.force_sweep(monkeypatch, block_bytes)
+        sweeps = force_sweep(block_bytes)
         for k in (1, 4, 9, n - 1):
             assert np.array_equal(nearest(pts, queries, k), want[:, :k])
             assert np.array_equal(nearest(pts, pts, k, exclude=self_ex), want_ex[:, :k])
@@ -288,19 +274,19 @@ class TestNearest:
         assert np.array_equal(nearest(pts, queries, n), want)
         assert len(sweeps) == 9
 
-    def test_sweep_exclude_hits_a_duplicate(self, monkeypatch):
+    def test_sweep_exclude_hits_a_duplicate(self, force_sweep):
         # Excluding one of a pair of twins leaves the other at distance 0,
         # whether or not the excluded twin is among the kept points.
         rng = np.random.default_rng(9)
         pts = np.repeat(rng.integers(0, 5, size=(40, 2)).astype(np.float64), 2, axis=0)
-        sweeps = self.force_sweep(monkeypatch, 512)
+        sweeps = force_sweep(512)
         for exclude in (np.arange(80), np.arange(80) ^ 1, np.zeros(80, dtype=int)):
             want = brute_nearest(pts, pts, 7, exclude=exclude)
             for k in (1, 2, 7):
                 assert np.array_equal(nearest(pts, pts, k, exclude=exclude), want[:, :k])
         assert len(sweeps) == 9
 
-    def test_sweep_where_squares_underflow(self, monkeypatch):
+    def test_sweep_where_squares_underflow(self, force_sweep):
         # Two clusters one apart, each 1e-170 wide: squared gaps and
         # distances inside a cluster underflow to 0, so every neighbour there
         # ties and the bound is 0.
@@ -310,20 +296,20 @@ class TestNearest:
         assert np.all(pairwise_sq(pts[:30], pts[:30]) == 0.0)
         want_ex = brute_nearest(pts, pts, 59, exclude=self_ex)
         want = brute_nearest(pts, pts[::-1], 59)
-        sweeps = self.force_sweep(monkeypatch, 64)
+        sweeps = force_sweep(64)
         for k in (1, 5, 29, 30, 59):
             assert np.array_equal(nearest(pts, pts, k, exclude=self_ex), want_ex[:, :k])
             assert np.array_equal(nearest(pts, pts[::-1], k), want[:, :k])
         assert len(sweeps) == 10
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_far_pair_overflows_though_the_sweep_would_skip_it(self, monkeypatch):
+    def test_far_pair_overflows_though_the_sweep_would_skip_it(self, force_sweep):
         # Every query's neighbours are near the origin, so a sweep would skip
         # the far point; its squared distance to them still overflows, and the
         # full scan reports that as it does for small calls.
         rng = np.random.default_rng(5)
         pts = np.concatenate([rng.normal(size=(80, 2)), [[1e155, 0.0]]])
-        sweeps = self.force_sweep(monkeypatch, 64)
+        sweeps = force_sweep(64)
         for queries, exclude in ((pts, np.arange(81)), (pts[:80], None)):
             with pytest.raises(SkewbenchError, match="squared distances overflow"):
                 nearest(pts, queries, 3, exclude=exclude)

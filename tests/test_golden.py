@@ -25,7 +25,6 @@ from pathlib import Path
 
 import pytest
 
-from skewbench import core
 from skewbench.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,25 +94,11 @@ def test_pipeline_matches_golden(tmp_path, dims):
     assert got == {key: want[key] for key in want if key.startswith(f"d{dims}/")}
 
 
-def shrink_blocks(monkeypatch, block_bytes: int) -> list[int]:
-    """Set `core._BLOCK_BYTES` and record the query count of every sweep."""
-    monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
-    sweeps = []
-    sweep = core._sweep_nearest
-
-    def spy(points, queries, k, exclude):
-        sweeps.append(len(queries))
-        return sweep(points, queries, k, exclude)
-
-    monkeypatch.setattr(core, "_sweep_nearest", spy)
-    return sweeps
-
-
 # At 64 KiB the smoke experiment's calls (40 queries against at most 136
 # points) still fit one block; 8 KiB sends them through the sweep too.
-def test_swept_smoke_experiment_matches_golden(tmp_path, monkeypatch):
+def test_swept_smoke_experiment_matches_golden(tmp_path, force_sweep):
     want = json.loads(DIGESTS.read_text())
-    sweeps = shrink_blocks(monkeypatch, 8 << 10)
+    sweeps = force_sweep(8 << 10)
     got = smoke_digests(tmp_path)
     assert got == {key: want[key] for key in got}
     assert sweeps
@@ -121,9 +106,9 @@ def test_swept_smoke_experiment_matches_golden(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("block_kib", [64, 8])
 @pytest.mark.parametrize("dims", DIMS)
-def test_swept_pipeline_matches_golden(tmp_path, monkeypatch, dims, block_kib):
+def test_swept_pipeline_matches_golden(tmp_path, force_sweep, dims, block_kib):
     want = json.loads(DIGESTS.read_text())
-    sweeps = shrink_blocks(monkeypatch, block_kib << 10)
+    sweeps = force_sweep(block_kib << 10)
     got = pipeline_digests(tmp_path, dims)
     assert got == {key: want[key] for key in want if key.startswith(f"d{dims}/")}
     assert sweeps
