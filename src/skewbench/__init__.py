@@ -1,8 +1,7 @@
 """skewbench: synthetic imbalanced data, resampling pre-processors, benchmarks."""
 
 from .classify import (KnnClassifier, KnnModel, TreeClassifier, TreeModel,
-                       knn_fit, knn_predict_batch, tree_fit, tree_predict_batch,
-                       tree_to_text)
+                       knn_fit, knn_predict_batch, tree_fit, tree_predict_batch)
 from .clustering import ClusterModel, estimate_bandwidth, mean_shift
 from .core import (ClassSummary, Dataset, ExampleKind, RngSeed, SkewbenchError,
                    derive_seed, summarize)

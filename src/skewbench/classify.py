@@ -124,10 +124,6 @@ class TreeNode:
     minority_count: int
     majority_count: int
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left < 0
-
 
 @dataclass(frozen=True, eq=False)
 class TreeModel:
@@ -314,19 +310,3 @@ def tree_predict_batch(model: TreeModel, queries) -> tuple[np.ndarray, np.ndarra
         labels = np.where(m > mj, model.minority_label, model.majority_label).astype(np.int64)
     return labels, (m + 1) / (m + mj + 2)  # Laplace-smoothed minority share
 
-
-def tree_to_text(model: TreeModel) -> str:
-    """Plain-text dump, one node per line in depth-first order, indented by depth."""
-    lines: list[str] = []
-    todo = [(0, 0)]
-    while todo:
-        index, depth = todo.pop()
-        node = model.nodes[index]
-        pad = "  " * depth
-        if node.is_leaf:
-            lines.append(f"{pad}leaf minority={node.minority_count} "
-                         f"majority={node.majority_count}")
-        else:
-            lines.append(f"{pad}split f{node.feature} <= {node.threshold:g}")
-            todo += [(node.right, depth + 1), (node.left, depth + 1)]
-    return "\n".join(lines) + "\n"

@@ -125,11 +125,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, out_required: bool = True,
-                out_help: str = "output path") -> None:
+def _add_common(parser: argparse.ArgumentParser, out_help: str) -> None:
     parser.add_argument("--config", "-c", help="key = value config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", "-o", required=out_required, help=out_help)
+    parser.add_argument("--out", "-o", required=True, help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-kinds", action="store_true",
                    help="ring borderline (dashed) and rare (double) minority points")
     p.add_argument("--out", "-o", required=True, help="output SVG path")
-    p.add_argument("--seed", type=int, help="accepted for symmetry; plotting is seed-free")
     p.set_defaults(func=cmd_plot)
     return parser
 

@@ -9,38 +9,32 @@ import numpy as np
 
 from .core import SkewbenchError, _frozen_array, _row_blocks, nearest, pairwise_sq
 
-DEFAULT_QUANTILE = 0.3
+# Neighbor rank for the bandwidth, as a fraction of the other points.
+QUANTILE = 0.3
 DEFAULT_MAX_ITER = 300
-# Default stopping tolerance as a fraction of the bandwidth.
-DEFAULT_TOL_FACTOR = 1e-4
+# Stopping tolerance as a fraction of the bandwidth.
+TOL_FACTOR = 1e-4
 
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """MeanShift result: surviving mode centers, point assignment, bandwidth."""
+    """MeanShift result: surviving mode centers and each point's center index."""
 
     centers: np.ndarray
     assignment: np.ndarray
-    bandwidth: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "centers", _frozen_array(self.centers, np.float64))
         object.__setattr__(self, "assignment", _frozen_array(self.assignment, np.int64))
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.centers)
 
-
-def estimate_bandwidth(points, quantile: float = DEFAULT_QUANTILE) -> float:
-    """Mean distance from each point to its ceil(quantile*(n-1))-th neighbor."""
+def estimate_bandwidth(points) -> float:
+    """Mean distance from each point to its ceil(QUANTILE*(n-1))-th neighbor."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     if n < 2:
         raise SkewbenchError("bandwidth estimation needs at least two points")
-    if not (0.0 < quantile <= 1.0):
-        raise SkewbenchError("quantile must lie in (0, 1]")
-    j = ceil(quantile * (n - 1))
+    j = ceil(QUANTILE * (n - 1))
     # A sorted row starts with the zero self-distance: the j-th neighbor is at index j.
     kth = np.empty(n)
     for rows in _row_blocks(n, pts):
@@ -51,11 +45,11 @@ def estimate_bandwidth(points, quantile: float = DEFAULT_QUANTILE) -> float:
     return bandwidth
 
 
-def mean_shift(points, bandwidth: float, tol: float | None = None,
-               max_iter: int = DEFAULT_MAX_ITER, seeds=None) -> ClusterModel:
+def mean_shift(points, bandwidth: float, max_iter: int = DEFAULT_MAX_ITER,
+               seeds=None) -> ClusterModel:
     """Iterate every seed to the mean of in-bandwidth points (closed ball).
 
-    Stops a seed once its shift is below tol (default 1e-4 * bandwidth).
+    Stops a seed once its shift is below 1e-4 * bandwidth.
     Converged modes within bandwidth/2 of a stronger mode are merged; strength
     is the number of data points within one bandwidth of the mode, ties going
     to the lower seed index. Assignment maps each data point to its nearest
@@ -69,9 +63,7 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
         raise SkewbenchError("bandwidth must be positive")
     if max_iter < 1:
         raise SkewbenchError("max_iter must be >= 1")
-    tol = DEFAULT_TOL_FACTOR * bandwidth if tol is None else tol
-    if tol <= 0:
-        raise SkewbenchError("tol must be positive")
+    tol = TOL_FACTOR * bandwidth
 
     modes = np.array(pts if seeds is None else np.asarray(seeds, dtype=np.float64))
     if modes.ndim != 2 or modes.shape[1] != pts.shape[1] or len(modes) == 0:
@@ -112,4 +104,4 @@ def mean_shift(points, bandwidth: float, tol: float | None = None,
     # A dropped center is no point's nearest, so numbering the used centers in
     # order gives the assignment a second pass against them would.
     used, assignment = np.unique(nearest(centers, pts, 1)[:, 0], return_inverse=True)
-    return ClusterModel(centers=centers[used], assignment=assignment, bandwidth=float(bandwidth))
+    return ClusterModel(centers=centers[used], assignment=assignment)

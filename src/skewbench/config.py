@@ -71,7 +71,13 @@ def load_config(path) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(), source=str(p))
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{p} line {line}: invalid UTF-8 byte {data[exc.start]:#04x}") from None
+    return parse_config_text(text, source=str(p))
 
 
 def _parse_int(raw: str, key: str) -> int:

@@ -179,16 +179,6 @@ class GroundTruth:
                            _frozen_array(self.subcluster_assignment, np.int64))
         object.__setattr__(self, "kinds", _frozen_array(self.kinds, np.uint8))
 
-    @property
-    def n_majority(self) -> int:
-        return len(self.subcluster_assignment) - len(self.kinds)
-
-    def minority_assignment(self) -> np.ndarray:
-        return self.subcluster_assignment[self.n_majority:]
-
-    def majority_assignment(self) -> np.ndarray:
-        return self.subcluster_assignment[: self.n_majority]
-
 
 def sample_centers(count: int, box: tuple[float, float], min_sep: float,
                    rng: np.random.Generator, dims: int = 2) -> np.ndarray:
@@ -243,43 +233,27 @@ def _unit_vectors(rng: np.random.Generator, count: int, dims: int) -> np.ndarray
 
 
 def apply_disturbance(points: np.ndarray, assignment: np.ndarray, centers: np.ndarray,
-                      sub_sigma: float, ratio: float, rng: np.random.Generator,
-                      kinds: np.ndarray | None = None,
-                      count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Relocate minority points into the borderline band around their sub-cluster.
+                      sub_sigma: float, count: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Relocate `count` minority points into the borderline band around their sub-cluster.
 
-    Selects `count` points (default round(ratio * n)) without replacement,
-    allocated across sub-clusters proportionally to their still-safe sizes,
-    and repositions each uniformly on the shell [R, 2R] around its sub-cluster
-    center, R = 2 * sub_sigma. Relocated points are tagged BORDERLINE.
+    Selects the points without replacement, allocated across sub-clusters
+    proportionally to their sizes, and repositions each uniformly on the shell
+    [R, 2R] around its sub-cluster center, R = 2 * sub_sigma. Relocated points
+    are tagged BORDERLINE, all others SAFE.
     """
-    if not (0.0 <= ratio <= 1.0):
-        raise SkewbenchError("disturbance ratio must lie in [0, 1]")
     points = np.array(points, dtype=np.float64)
     assignment = np.asarray(assignment, dtype=np.int64)
-    kinds = (np.full(len(points), int(ExampleKind.SAFE), dtype=np.uint8)
-             if kinds is None else np.array(kinds, dtype=np.uint8))
-    n = len(points)
-    target = int(round(ratio * n)) if count is None else int(count)
-    if target == 0:
+    kinds = np.full(len(points), int(ExampleKind.SAFE), dtype=np.uint8)
+    if count == 0:
         return points, kinds
-    eligible = kinds == int(ExampleKind.SAFE)
     n_clusters = len(centers)
-    sizes = np.array([np.sum(eligible & (assignment == j)) for j in range(n_clusters)])
-    if target > sizes.sum():
-        raise SkewbenchError("not enough safe minority points to disturb")
-    per_cluster = largest_remainder(sizes, target)
-    # Proportional shares can exceed a small cluster; shift overflow to the
-    # clusters that still have room, deterministically by index.
-    overflow = int(np.sum(np.maximum(per_cluster - sizes, 0)))
-    per_cluster = np.minimum(per_cluster, sizes)
-    for j in range(n_clusters):
-        if overflow == 0:
-            break
-        room = int(sizes[j] - per_cluster[j])
-        take = min(room, overflow)
-        per_cluster[j] += take
-        overflow -= take
+    sizes = np.array([np.sum(assignment == j) for j in range(n_clusters)])
+    if count > sizes.sum():
+        raise SkewbenchError("not enough minority points to disturb")
+    # No share exceeds its cluster's size: below sizes.sum() each exact share
+    # is under its size, so its floor plus one leftover unit is at most the size.
+    per_cluster = largest_remainder(sizes, count)
 
     radius_lo = SUBREGION_RADIUS_SIGMA * sub_sigma
     band = BORDERLINE_BAND_SIGMA * sub_sigma
@@ -287,7 +261,7 @@ def apply_disturbance(points: np.ndarray, assignment: np.ndarray, centers: np.nd
         m = int(per_cluster[j])
         if m == 0:
             continue
-        members = np.flatnonzero(eligible & (assignment == j))
+        members = np.flatnonzero(assignment == j)
         chosen = rng.choice(members, size=m, replace=False)
         radii = radius_lo + band * rng.random(m)
         dirs = _unit_vectors(rng, m, points.shape[1])
@@ -296,41 +270,35 @@ def apply_disturbance(points: np.ndarray, assignment: np.ndarray, centers: np.nd
     return points, kinds
 
 
-def inject_rare(points: np.ndarray, minority_centers: np.ndarray,
-                majority_centers: np.ndarray, sub_sigma: float, fraction: float,
-                rng: np.random.Generator, kinds: np.ndarray | None = None,
-                count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Relocate minority points deep into majority territory, tagged RARE.
+def inject_rare(points: np.ndarray, kinds: np.ndarray, minority_centers: np.ndarray,
+                majority_centers: np.ndarray, sub_sigma: float, count: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Relocate `count` SAFE minority points deep into majority territory, tagged RARE.
 
     Loci are drawn uniformly from a ball of radius 2 * sub_sigma around a
     majority center, rejected until every placed point is more than
     3 * sub_sigma from all minority centers. Points are placed singly or in
     jittered pairs at the same locus (pair probability 0.5).
     """
-    if not (0.0 <= fraction <= 1.0):
-        raise SkewbenchError("rare fraction must lie in [0, 1]")
     if len(majority_centers) == 0:
         raise SkewbenchError("rare injection requires at least one majority center")
     points = np.array(points, dtype=np.float64)
-    kinds = (np.full(len(points), int(ExampleKind.SAFE), dtype=np.uint8)
-             if kinds is None else np.array(kinds, dtype=np.uint8))
-    n = len(points)
-    target = int(round(fraction * n)) if count is None else int(count)
-    if target == 0:
+    kinds = np.array(kinds, dtype=np.uint8)
+    if count == 0:
         return points, kinds
     eligible = np.flatnonzero(kinds == int(ExampleKind.SAFE))
-    if target > len(eligible):
+    if count > len(eligible):
         raise SkewbenchError("not enough safe minority points to convert to rare")
-    chosen = rng.choice(eligible, size=target, replace=False)
+    chosen = rng.choice(eligible, size=count, replace=False)
 
     dims = points.shape[1]
     exclusion = RARE_EXCLUSION_SIGMA * sub_sigma
     ball = RARE_BALL_SIGMA * sub_sigma
     placed = 0
     attempts = 0
-    while placed < target:
+    while placed < count:
         group = 1
-        if target - placed >= 2 and rng.random() < RARE_PAIR_PROBABILITY:
+        if count - placed >= 2 and rng.random() < RARE_PAIR_PROBABILITY:
             group = 2
         while True:
             if attempts >= _MAX_ATTEMPTS:
@@ -361,7 +329,7 @@ def generate_imbalanced(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
     Majority rows come first (label 0), then minority rows (label 1).
     Deterministic: the same spec always yields bit-identical output.
     """
-    seed = as_seed(spec.seed)
+    seed = spec.seed
     n_maj, n_min = spec.class_counts()
     k_min = spec.minority_subclusters
     k_maj = spec.majority_subclusters
@@ -380,11 +348,11 @@ def generate_imbalanced(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
 
     _, n_borderline, n_rare = spec.kind_counts()
     min_points, min_kinds = apply_disturbance(
-        min_points, min_assign, minority_centers, spec.sub_sigma, spec.disturbance_ratio,
-        seed.child("disturbance").generator(), count=n_borderline)
+        min_points, min_assign, minority_centers, spec.sub_sigma, n_borderline,
+        seed.child("disturbance").generator())
     min_points, min_kinds = inject_rare(
-        min_points, minority_centers, majority_centers, spec.sub_sigma, spec.rare_fraction,
-        seed.child("rare").generator(), kinds=min_kinds, count=n_rare)
+        min_points, min_kinds, minority_centers, majority_centers, spec.sub_sigma, n_rare,
+        seed.child("rare").generator())
 
     points = np.vstack([maj_points, min_points])
     labels = np.concatenate([np.full(n_maj, MAJORITY_LABEL, dtype=np.int64),

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, ExampleKind, SkewbenchError
+from .datagen import MAJORITY_LABEL, MINORITY_LABEL
 
 # 17 significant digits round-trips any float64 exactly.
 _FLOAT_FMT = "{:.17g}"
@@ -49,7 +50,8 @@ def _parse_header(header: str) -> tuple[int, bool]:
 
 def read_dataset_csv(path) -> Dataset:
     """Parse a dataset CSV; malformed rows raise with their line number."""
-    text = Path(path).read_text(encoding="ascii")
+    # A non-ASCII byte becomes a lone surrogate, which no field below accepts.
+    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
     lines = text.splitlines()
     if not lines:
         raise SkewbenchError("line 1: empty file, header expected")
@@ -68,7 +70,7 @@ def read_dataset_csv(path) -> Dataset:
             raise SkewbenchError(f"line {lineno}: invalid feature value") from None
         try:
             label = int(parts[d])
-            if label < 0:
+            if not 0 <= label < 2 ** 63:  # labels are held as int64
                 raise ValueError
         except ValueError:
             raise SkewbenchError(f"line {lineno}: invalid label {parts[d]!r}") from None
@@ -83,18 +85,12 @@ def read_dataset_csv(path) -> Dataset:
                    np.array(kinds, dtype=np.uint8) if has_kind else None)
 
 
-def ground_truth_to_csv_text(minority_centers: np.ndarray, majority_centers: np.ndarray,
-                             minority_label: int, majority_label: int) -> str:
-    d = minority_centers.shape[1]
+def write_ground_truth_csv(gt, path) -> None:
+    """Centers as rows, majority first, each with its class label and sub-cluster index."""
+    d = gt.minority_centers.shape[1]
     lines = [",".join([f"center_x{i}" for i in range(d)] + ["label", "subcluster"])]
-    for j, center in enumerate(majority_centers):
-        lines.append(",".join([format_float(v) for v in center] + [str(majority_label), str(j)]))
-    for j, center in enumerate(minority_centers):
-        lines.append(",".join([format_float(v) for v in center] + [str(minority_label), str(j)]))
-    return "\n".join(lines) + "\n"
-
-
-def write_ground_truth_csv(gt, path, minority_label: int = 1, majority_label: int = 0) -> None:
-    text = ground_truth_to_csv_text(gt.minority_centers, gt.majority_centers,
-                                    minority_label, majority_label)
-    Path(path).write_text(text, encoding="ascii", newline="\n")
+    for label, centers in ((MAJORITY_LABEL, gt.majority_centers),
+                           (MINORITY_LABEL, gt.minority_centers)):
+        for j, center in enumerate(centers):
+            lines.append(",".join([format_float(v) for v in center] + [str(label), str(j)]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clustering import DEFAULT_QUANTILE, estimate_bandwidth, mean_shift
+from .clustering import estimate_bandwidth, mean_shift
 from .core import Dataset, ExampleKind, SkewbenchError, summarize
 
 WIDTH = 800
@@ -87,7 +87,7 @@ def scatter_svg(ds: Dataset, show_centers: bool = False, show_kinds: bool = Fals
             parts.extend(_kind_rings(x, y, int(ds.kinds[i])))
         parts.append(_triangle(x, y, MINORITY_COLOR))
     if show_centers:
-        bandwidth = estimate_bandwidth(ds.points, DEFAULT_QUANTILE)
+        bandwidth = estimate_bandwidth(ds.points)
         for center in mean_shift(ds.points, bandwidth).centers:
             x, y = project(center)
             parts.append(_cross(x, y))

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import DEFAULT_QUANTILE, estimate_bandwidth, mean_shift
+from .clustering import estimate_bandwidth, mean_shift
 from .core import Dataset, SkewbenchError, nearest, squares_overflow, summarize
+from .datagen import MAX_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,9 @@ class SMOTE:
             raise SkewbenchError("smote k must be >= 1")
         if self.amount_pct < 100 or self.amount_pct % 100 != 0:
             raise SkewbenchError("smote amount_pct must be a positive multiple of 100")
+        # More copies per point than a dataset may hold rows can only fail to allocate.
+        if self.amount_pct > 100 * MAX_SAMPLES:
+            raise SkewbenchError(f"smote amount_pct must be at most {100 * MAX_SAMPLES}")
 
     def apply(self, ds: Dataset, rng: np.random.Generator,
               minority_clusters: np.ndarray | None = None) -> Dataset:
@@ -147,7 +151,7 @@ def _discover_clusters(ds: Dataset, minority_rows: np.ndarray) -> np.ndarray:
     pts = ds.points[minority_rows]
     if len(pts) < 2:
         return np.zeros(len(pts), dtype=np.int64)
-    bandwidth = estimate_bandwidth(pts, DEFAULT_QUANTILE)
+    bandwidth = estimate_bandwidth(pts)
     return mean_shift(pts, bandwidth).assignment
 
 
@@ -250,13 +254,13 @@ def ncr(ds: Dataset, k: int = NCR.k) -> Dataset:
 
 
 def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,
-             minority_clusters: np.ndarray | None = None,
-             majority_clusters: np.ndarray | None = None) -> Dataset:
+             minority_clusters: np.ndarray | None = None) -> Dataset:
     """Move each in-scope point to c + alpha * (x - c), c its sub-cluster mean.
 
-    Anchors are the empirical means of the sub-clusters (given assignments or
-    discovered with MeanShift), so class counts, labels, and per-cluster means
-    are preserved while spread scales by alpha.
+    Anchors are the empirical means of the sub-clusters (the given minority
+    assignment, else discovered with MeanShift; the majority's always are), so
+    class counts, labels, and per-cluster means are preserved while spread
+    scales by alpha.
     """
     config = Sparsity(alpha=alpha, scope=scope)
     s = summarize(ds)
@@ -267,7 +271,7 @@ def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,
     points = np.array(ds.points)
     todo = [(s.minority_label, minority_clusters)]
     if scope == "both":
-        todo.append((s.majority_label, majority_clusters))
+        todo.append((s.majority_label, None))
     for label, clusters in todo:
         rows = np.flatnonzero(ds.labels == label)
         if clusters is None:

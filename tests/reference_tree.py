@@ -91,19 +91,3 @@ def tree_predict(nodes, queries, minority_label, majority_label):
         scores[i] = (m + 1) / (m + mj + 2)
     return labels, scores
 
-
-def tree_to_text(nodes):
-    lines = []
-
-    def walk(index, depth):
-        feature, threshold, left, right, m, mj = nodes[index]
-        pad = "  " * depth
-        if left < 0:
-            lines.append(f"{pad}leaf minority={m} majority={mj}")
-        else:
-            lines.append(f"{pad}split f{feature} <= {threshold:g}")
-            walk(left, depth + 1)
-            walk(right, depth + 1)
-
-    walk(0, 0)
-    return "\n".join(lines) + "\n"

@@ -5,8 +5,7 @@ import pytest
 
 import reference_tree as reference
 from skewbench import core
-from skewbench.classify import (knn_fit, knn_predict_batch, tree_fit,
-                                tree_predict_batch, tree_to_text)
+from skewbench.classify import knn_fit, knn_predict_batch, tree_fit, tree_predict_batch
 from skewbench.core import Dataset, RngSeed, SkewbenchError
 
 
@@ -85,7 +84,7 @@ class TestTreeFit:
         ds = ds_of([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [0, 0, 0])
         model = tree_fit(ds)
         assert len(model.nodes) == 1
-        assert model.nodes[0].is_leaf
+        assert model.nodes[0].left < 0
 
     def test_xor_separable_at_depth_two(self):
         ds = ds_of([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], [0, 0, 1, 1])
@@ -113,7 +112,7 @@ class TestTreeFit:
         labels = (pts[:, 0] + 0.2 * rng.normal(size=60) > 0).astype(int)
         model = tree_fit(Dataset(pts, labels), max_depth=8, min_leaf=5)
         for node in model.nodes:
-            if node.is_leaf:
+            if node.left < 0:
                 assert node.minority_count + node.majority_count >= 5
 
     def test_depth_capped(self):
@@ -124,7 +123,7 @@ class TestTreeFit:
 
         def depth(index, d=0):
             node = model.nodes[index]
-            if node.is_leaf:
+            if node.left < 0:
                 return d
             return max(depth(node.left, d + 1), depth(node.right, d + 1))
 
@@ -142,7 +141,7 @@ class TestTreeFit:
             return 2 * p * (1 - p)
 
         for node in model.nodes:
-            if node.is_leaf:
+            if node.left < 0:
                 continue
             left, right = model.nodes[node.left], model.nodes[node.right]
             n_l = left.minority_count + left.majority_count
@@ -189,7 +188,7 @@ class TestTreePredict:
 
         def walk(q):
             node = model.nodes[0]
-            while not node.is_leaf:
+            while node.left >= 0:
                 node = model.nodes[node.left] if q[node.feature] <= node.threshold \
                     else model.nodes[node.right]
             m, mj = node.minority_count, node.majority_count
@@ -223,18 +222,6 @@ class TestTreePredict:
         model = tree_fit(ds, min_leaf=1)
         with pytest.raises(SkewbenchError, match="dimension"):
             tree_predict_batch(model, [[0.0]])
-
-
-class TestTreeExport:
-    def test_text_format_indents_by_depth(self):
-        ds = ds_of([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
-        model = tree_fit(ds, min_leaf=1)
-        text = tree_to_text(model)
-        lines = text.strip("\n").split("\n")
-        assert lines[0].startswith("split f0 <= 1.5")
-        assert all(line.startswith("  ") for line in lines[1:])
-        assert sum("leaf" in line for line in lines) == 2
-        assert len(lines) == len(model.nodes)
 
 
 FIELDS = ("feature", "threshold", "left", "right", "minority_count", "majority_count")
@@ -280,7 +267,6 @@ def assert_matches_reference(ds, max_depth, min_leaf, minority_label=None):
     is_min = (ds.labels == model.minority_label if model.minority_label is not None
               else np.zeros(ds.n, dtype=bool))
     nodes = reference.tree_fit(ds.points, is_min, max_depth, min_leaf)
-    assert tree_to_text(model) == reference.tree_to_text(nodes)
     assert len(model.nodes) == len(nodes)
     assert preorder(node_rows(model)) == preorder(nodes)  # depths included
     # Queries on every threshold exercise the <= routing of predict.
@@ -339,7 +325,6 @@ def test_deep_chain_fits_without_recursion():
     ds = Dataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 2)
     model = tree_fit(ds, max_depth=100_000, min_leaf=1)
     assert max(row[0] for row in preorder(node_rows(model))) == n - 1
-    assert tree_to_text(model).count("\n") == len(model.nodes)
     labels, _ = tree_predict_batch(model, ds.points)
     assert np.array_equal(labels, ds.labels)
 

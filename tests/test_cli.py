@@ -303,6 +303,7 @@ class TestBadInput:
         ("generate", "gen.box = -1e308,1e308"),
         ("generate", "gen.sub_sigma = nan"),
         ("experiment", "exp.methods = sparsity\nsparsity.alpha = nan"),
+        ("experiment", "exp.folds = 1"),
     ])
     def test_bad_number_exit_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "bad.cfg"
@@ -397,6 +398,45 @@ class TestBadInput:
         assert err.startswith("error: SKEWBENCH_THREADS must be ") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv", [["resample", "--method", "ro", "--out", "out.csv"],
+                                      ["eval"], ["plot", "--out", "out.svg"]],
+                             ids=["resample", "eval", "plot"])
+    @pytest.mark.parametrize("row,message", [
+        pytest.param(b"\xe9,1,1", "line 3: invalid feature value", id="non-ascii"),
+        pytest.param(b"1,1,99999999999999999999999",
+                     "line 3: invalid label '99999999999999999999999'", id="label-over-int64"),
+    ])
+    def test_unreadable_row_exit_1(self, tmp_path, capsys, monkeypatch, argv, row, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_bytes(b"f0,f1,label\n1.0,2.0,0\n" + row + b"\n")
+        assert main(argv + ["in.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"gen.box = 0,20\ngen.n_samples = 4\xff00\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg} line 2: invalid UTF-8 byte 0xff\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    # An amount no dataset could hold is a config error before any data is read.
+    @pytest.mark.parametrize("argv", [["resample", "--method", "smote", "--out", "out.csv"],
+                                      ["eval", "--method", "smote"],
+                                      ["experiment", "--out", "run"]],
+                             ids=["resample", "eval", "experiment"])
+    def test_huge_smote_amount_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        ds, _ = generate_imbalanced(GenSpec(n_samples=60, seed=5))
+        write_dataset_csv(ds, tmp_path / "in.csv")
+        (tmp_path / "bad.cfg").write_text("smote.amount_pct = 100000000000000000000\n"
+                                          "exp.methods = smote\nexp.sizes = 60\n"
+                                          "exp.repeats = 1\n")
+        if argv[0] != "experiment":
+            argv = argv + ["in.csv"]
+        assert main(argv + ["--config", "bad.cfg"]) == 2
+        assert capsys.readouterr().err == "error: smote amount_pct must be at most 1000000000\n"
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "run").exists()
+
     def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch):
         def no_memory(spec):
             raise MemoryError("Unable to allocate 35.3 GiB for an array")
@@ -437,3 +477,30 @@ def test_fuzzed_config_never_crashes(fuzz_dir, entries, method):
             code = main(argv + ["--config", str(cfg)])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+# Fields a damaged dataset CSV may hold: bytes that are not ASCII, integers
+# past int64, non-finite numbers, empty fields and stray commas.
+CSV_FIELDS = (b"0", b"1", b"2", b"-1", b"0.5", b"nan", b"inf", b"1e400", b"", b",",
+              b"\xe9", b"1\xff", b"99999999999999999999", b"-99999999999999999999",
+              b"safe", b"rare")
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(CSV_FIELDS), min_size=2, max_size=5),
+                     max_size=4),
+       at=st.integers(0, 60), kinds=st.booleans())
+def test_fuzzed_csv_rows_never_crash(fuzz_dir, rows, at, kinds):
+    lines = (fuzz_dir / "in.csv").read_bytes().splitlines()
+    if not kinds:
+        lines = [line.rsplit(b",", 1)[0] for line in lines]
+    lines[1 + at:1 + at] = [b",".join(row) for row in rows]
+    (fuzz_dir / "rows.csv").write_bytes(b"\n".join(lines) + b"\n")
+    for argv in (["resample", "--method", "ro", "--out", str(fuzz_dir / "res.csv")],
+                 ["eval", "--folds", "2"], ["plot", "--out", str(fuzz_dir / "rows.svg")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + [str(fuzz_dir / "rows.csv")])
+        assert code in (0, 1, 2)
+        err_lines = err.getvalue().splitlines()
+        assert code == 0 or (len(err_lines) == 1 and err_lines[0].startswith("error: "))

@@ -61,19 +61,19 @@ class TestApplyDisturbance:
 
     def test_ratio_zero_is_identity(self):
         pts, kinds = apply_disturbance(self.points, self.assign, self.centers,
-                                       1.0, 0.0, rng(2))
+                                       1.0, 0, rng(2))
         assert np.array_equal(pts, self.points)
         assert np.all(kinds == int(ExampleKind.SAFE))
 
     def test_half_ratio_tags_half(self):
         pts, kinds = apply_disturbance(self.points, self.assign, self.centers,
-                                       1.0, 0.5, rng(2))
+                                       1.0, 50, rng(2))
         assert np.sum(kinds == int(ExampleKind.BORDERLINE)) == 50
 
     def test_repositioned_points_in_band(self):
         sigma = 1.3
         pts, kinds = apply_disturbance(self.points, self.assign, self.centers,
-                                       sigma, 0.5, rng(3))
+                                       sigma, 50, rng(3))
         radius = 2.0 * sigma
         moved = np.flatnonzero(kinds == int(ExampleKind.BORDERLINE))
         assert len(moved) == 50
@@ -83,7 +83,7 @@ class TestApplyDisturbance:
 
     def test_allocation_proportional_to_cluster_size(self):
         pts, kinds = apply_disturbance(self.points, self.assign, self.centers,
-                                       1.0, 0.5, rng(4))
+                                       1.0, 50, rng(4))
         moved = kinds == int(ExampleKind.BORDERLINE)
         assert np.sum(moved & (self.assign == 0)) == 30
         assert np.sum(moved & (self.assign == 1)) == 20
@@ -94,22 +94,23 @@ class TestInjectRare:
         self.min_centers = np.array([[0.0, 0.0], [12.0, 0.0]])
         self.maj_centers = np.array([[6.0, 10.0]])
         self.points, self.assign = generate_blobs(self.min_centers, [50, 50], 1.0, rng(1))
+        self.kinds = np.full(len(self.points), int(ExampleKind.SAFE), dtype=np.uint8)
 
     def test_fraction_zero_no_tags(self):
-        pts, kinds = inject_rare(self.points, self.min_centers, self.maj_centers,
-                                 1.0, 0.0, rng(2))
+        pts, kinds = inject_rare(self.points, self.kinds, self.min_centers, self.maj_centers,
+                                 1.0, 0, rng(2))
         assert np.array_equal(pts, self.points)
         assert np.sum(kinds == int(ExampleKind.RARE)) == 0
 
     def test_fraction_fifth_tags_twenty(self):
-        pts, kinds = inject_rare(self.points, self.min_centers, self.maj_centers,
-                                 1.0, 0.2, rng(2))
+        pts, kinds = inject_rare(self.points, self.kinds, self.min_centers, self.maj_centers,
+                                 1.0, 20, rng(2))
         assert np.sum(kinds == int(ExampleKind.RARE)) == 20
 
     def test_rare_points_clear_minority_centers(self):
         sigma = 0.9
-        pts, kinds = inject_rare(self.points, self.min_centers, self.maj_centers,
-                                 sigma, 0.2, rng(3))
+        pts, kinds = inject_rare(self.points, self.kinds, self.min_centers, self.maj_centers,
+                                 sigma, 20, rng(3))
         rare = np.flatnonzero(kinds == int(ExampleKind.RARE))
         for i in rare:
             gaps = np.sqrt(np.sum((pts[i] - self.min_centers) ** 2, axis=1))
@@ -119,8 +120,8 @@ class TestInjectRare:
         # The majority center sits on a minority center, so the exclusion zone
         # swallows the whole placement ball.
         with pytest.raises(SkewbenchError, match="rare placement infeasible"):
-            inject_rare(self.points, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]),
-                        1.0, 0.2, rng(4))
+            inject_rare(self.points, self.kinds, np.array([[0.0, 0.0]]),
+                        np.array([[0.0, 0.0]]), 1.0, 20, rng(4))
 
 
 class TestGenSpec:
@@ -194,8 +195,7 @@ class TestSpanBound:
         alpha = self.edge_alpha(spec)
         ExperimentSpec(methods=(Sparsity(alpha),), template=spec)
         ds, gt = generate_imbalanced(spec)
-        spread = sparsity(ds, alpha, "both", gt.minority_assignment(),
-                          gt.majority_assignment())
+        spread = sparsity(ds, alpha, "both", gt.subcluster_assignment[ds.labels == 1])
         assert np.all(np.isfinite(pairwise_sq(spread.points, spread.points)))
         with pytest.raises(SkewbenchError, match="alpha"):
             ExperimentSpec(methods=(Sparsity(1.03 * alpha),), template=spec)
@@ -215,6 +215,15 @@ class TestLargestRemainder:
         parts = largest_remainder(weights, total)
         assert parts.sum() == total
         assert np.all(parts >= 0)
+
+    # apply_disturbance splits its count over cluster sizes and relies on this:
+    # no part exceeds its weight while the total fits in the weights.
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_parts_never_exceed_weights(self, data):
+        sizes = data.draw(st.lists(st.integers(0, MAX_SAMPLES), min_size=1, max_size=8))
+        total = data.draw(st.integers(0, sum(sizes)))
+        assert np.all(largest_remainder(sizes, total) <= np.array(sizes))
 
 
 class TestGenerateImbalanced:
@@ -252,8 +261,8 @@ class TestGenerateImbalanced:
     def test_subcluster_sizes_nearly_equal(self):
         spec = GenSpec(n_samples=600, class_ratio=(5, 1), seed=5,
                        minority_subclusters=3)
-        _, gt = generate_imbalanced(spec)
-        sizes = np.bincount(gt.minority_assignment())
+        ds, gt = generate_imbalanced(spec)
+        sizes = np.bincount(gt.subcluster_assignment[ds.labels == 1])
         assert sizes.sum() == 100
         assert sizes.max() - sizes.min() <= 1
 

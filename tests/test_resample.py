@@ -53,7 +53,7 @@ class TestRandomOversample:
 class TestClusterOversample:
     def test_balances_316_84_with_ground_truth(self):
         ds, gt = paper_shaped_dataset()
-        out = cluster_oversample(ds, rng(2), clusters=gt.minority_assignment())
+        out = cluster_oversample(ds, rng(2), clusters=gt.subcluster_assignment[ds.labels == 1])
         s = summarize(out)
         assert out.n == 632
         assert s.counts == {0: 316, 1: 316}
@@ -238,8 +238,7 @@ class TestSparsity:
 
     def test_scope_both_moves_majority(self):
         ds, assign = self.make_clustered()
-        out = sparsity(ds, 1.5, scope="both", minority_clusters=assign,
-                       majority_clusters=np.zeros(100, dtype=int))
+        out = sparsity(ds, 1.5, scope="both", minority_clusters=assign)
         assert not np.array_equal(out.points[:100], ds.points[:100])
         assert np.allclose(out.points[:100].mean(axis=0),
                            ds.points[:100].mean(axis=0), atol=1e-9)
@@ -290,13 +289,13 @@ class TestApplyMethod:
         direct = random_oversample(ds, rng(123))
         routed = RO().apply(ds, rng(123))
         assert np.array_equal(direct.points, routed.points)
-        routed_co = CO().apply(ds, rng(7), minority_clusters=gt.minority_assignment())
-        direct_co = cluster_oversample(ds, rng(7), clusters=gt.minority_assignment())
+        clusters = gt.subcluster_assignment[ds.labels == 1]
+        routed_co = CO().apply(ds, rng(7), minority_clusters=clusters)
+        direct_co = cluster_oversample(ds, rng(7), clusters=clusters)
         assert np.array_equal(direct_co.points, routed_co.points)
         assert np.array_equal(NCR(k=3).apply(ds, rng()).points, ncr(ds, 3).points)
         assert np.array_equal(SMOTE(k=3).apply(ds, rng(5)).points,
                               smote(ds, 3, 100, rng(5)).points)
-        clusters = gt.minority_assignment()
         assert np.array_equal(Sparsity(alpha=2.0).apply(ds, rng(), clusters).points,
                               sparsity(ds, 2.0, minority_clusters=clusters).points)
 
