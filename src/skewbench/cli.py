@@ -1,8 +1,7 @@
 """Command-line front end: generate, resample, eval, experiment, plot.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage or config error.
-Every subcommand that takes --seed is byte-deterministic across runs and
-worker thread counts (SKEWBENCH_THREADS, 0 = auto).
+Every subcommand that takes --seed is byte-deterministic across runs.
 """
 
 from __future__ import annotations

@@ -69,8 +69,9 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
 
 def load_config(path) -> dict[str, str]:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {p}" if not p.exists()
+                          else f"config path is not a file: {p}")
     data = p.read_bytes()
     try:
         text = data.decode("utf-8")

@@ -50,7 +50,7 @@ class Dataset:
     """An n x d feature matrix with integer class labels and optional kind tags.
 
     Immutable after construction; the backing arrays are marked read-only so
-    instances can be shared freely across workers.
+    folds, resamplers and classifiers can share an instance without copying it.
     """
 
     points: np.ndarray

