@@ -1,9 +1,11 @@
 """Byte-identity gate: CLI outputs at fixed seeds against committed sha256 digests.
 
-`data/golden_digests.json` pins `experiment` on `configs/smoke.cfg` and, for
-`gen.dims` = 1, 2, 3 and 9 at seed 5, the file pipeline `generate` ->
-`resample` (co, ncr, smote, sparsity) -> `eval` -> `plot --show-centers`
-(2-D only, the one dimension `plot` renders). Together they cover the
+`data/golden_digests.json` pins `experiment` on `configs/smoke.cfg` and on
+ALL_METHODS_CONFIG (every method with both classifiers, at counts that leave
+remainders across classes, sub-clusters and folds), and, for `gen.dims` = 1,
+2, 3 and 9 at seed 5, the file pipeline `generate` -> `resample` (co, ncr,
+smote, sparsity) -> `eval` (two runs that between them cover every method)
+-> `plot --show-centers` (2-D only, the one dimension `plot` renders). Together they cover the
 column-wise and the broadcast branch of `core.pairwise_sq`, the neighbour
 top-k and MeanShift. At n = 300 no `core.nearest` call is large enough for
 its feature-0 sweep, so each digest is checked again with `core._BLOCK_BYTES`
@@ -39,8 +41,27 @@ gen.disturbance_ratio = 0.2
 gen.rare_fraction = 0.1
 """
 RESAMPLERS = ("co", "ncr", "smote", "sparsity")
-EVAL_ARGS = ("-m", "base", "-m", "ncr", "-m", "smote", "-m", "co",
-             "--classifier", "knn", "--classifier", "tree", "--folds", "3")
+CLASSIFIER_ARGS = ("--classifier", "knn", "--classifier", "tree", "--folds", "3")
+EVAL_ARGS = {"eval.txt": ("-m", "base", "-m", "ncr", "-m", "smote", "-m", "co"),
+             "eval_ro_sparsity.txt": ("-m", "ro", "-m", "sparsity")}
+# 137 rows at 3:1 are 103 majority rows in 2 sub-clusters and 34 minority rows
+# in 3, and 4 folds split neither class evenly.
+ALL_METHODS_CONFIG = """\
+exp.subclusters = 3
+exp.sizes = 137
+exp.ratios = 3:1
+exp.disturbances = 0.2
+exp.methods = base,ro,co,smote,ncr,sparsity
+exp.classifiers = knn,tree
+exp.folds = 4
+exp.repeats = 2
+exp.seed = 11
+
+gen.majority_subclusters = 2
+gen.rare_fraction = 0.1
+gen.box = 0,12
+gen.min_center_separation = 3.0
+"""
 
 
 def _sha(data: bytes) -> str:
@@ -55,11 +76,20 @@ def _run(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def experiment_digests(work: Path, name: str, config: Path) -> dict[str, str]:
+    _run(["experiment", "--config", str(config), "--out", str(work / name)])
+    return {f"{name}/{file}": _sha((work / name / file).read_bytes())
+            for file in ("report.csv", "pivots.txt")}
+
+
 def smoke_digests(work: Path) -> dict[str, str]:
-    _run(["experiment", "--config", str(ROOT / "configs" / "smoke.cfg"),
-          "--out", str(work / "smoke")])
-    return {f"smoke/{name}": _sha((work / "smoke" / name).read_bytes())
-            for name in ("report.csv", "pivots.txt")}
+    return experiment_digests(work, "smoke", ROOT / "configs" / "smoke.cfg")
+
+
+def all_methods_digests(work: Path) -> dict[str, str]:
+    config = work / "all_methods.cfg"
+    config.write_text(ALL_METHODS_CONFIG)
+    return experiment_digests(work, "all_methods", config)
 
 
 def pipeline_digests(work: Path, dims: int) -> dict[str, str]:
@@ -73,7 +103,9 @@ def pipeline_digests(work: Path, dims: int) -> dict[str, str]:
         _run(["resample", str(data), "--method", method, "--seed", SEED,
               "--out", str(files[f"{method}.csv"])])
     got = {name: _sha(path.read_bytes()) for name, path in files.items()}
-    got["eval.txt"] = _sha(_run(["eval", str(data), "--seed", SEED, *EVAL_ARGS]).encode())
+    for name, methods in EVAL_ARGS.items():
+        got[name] = _sha(_run(["eval", str(data), "--seed", SEED, *methods,
+                               *CLASSIFIER_ARGS]).encode())
     if dims == 2:
         svg = work / "d2.svg"
         _run(["plot", str(data), "--show-centers", "--out", str(svg)])
@@ -85,6 +117,12 @@ def test_smoke_experiment_matches_golden(tmp_path):
     want = json.loads(DIGESTS.read_text())
     got = smoke_digests(tmp_path)
     assert got == {key: want[key] for key in got}
+
+
+def test_all_methods_experiment_matches_golden(tmp_path):
+    want = json.loads(DIGESTS.read_text())
+    got = all_methods_digests(tmp_path)
+    assert got == {key: want[key] for key in want if key.startswith("all_methods/")}
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -104,6 +142,14 @@ def test_swept_smoke_experiment_matches_golden(tmp_path, force_sweep):
     assert sweeps
 
 
+def test_swept_all_methods_experiment_matches_golden(tmp_path, force_sweep):
+    want = json.loads(DIGESTS.read_text())
+    sweeps = force_sweep(8 << 10)
+    got = all_methods_digests(tmp_path)
+    assert got == {key: want[key] for key in want if key.startswith("all_methods/")}
+    assert sweeps
+
+
 @pytest.mark.parametrize("block_kib", [64, 8])
 @pytest.mark.parametrize("dims", DIMS)
 def test_swept_pipeline_matches_golden(tmp_path, force_sweep, dims, block_kib):
@@ -119,7 +165,7 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        digests = smoke_digests(work)
+        digests = smoke_digests(work) | all_methods_digests(work)
         for dims in DIMS:
             digests.update(pipeline_digests(work, dims))
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
