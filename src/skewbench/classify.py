@@ -1,8 +1,9 @@
 """Baseline classifiers: k-NN voting and a greedy Gini decision tree.
 
-Both emit a minority-class score alongside the label so ROC areas can be
-computed. Vote and leaf ties resolve toward the majority class, which makes
-the baselines' bias against the minority explicit and reproducible.
+The caller names the minority label and the majority is the other label
+present. Both emit a minority-class score alongside the label so ROC areas
+can be computed. Vote and leaf ties resolve toward the majority class, which
+makes the baselines' bias against the minority explicit and reproducible.
 
 Each config in `CLASSIFIERS` runs itself with `fit_predict(train, minority,
 queries)`, calling fit and predict by their global names as `resample` does.
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, SkewbenchError, _frozen_array, _row_blocks, nearest, summarize
+from .core import Dataset, SkewbenchError, _frozen_array, _row_blocks, nearest
 
 
 @dataclass(frozen=True)
@@ -61,42 +62,32 @@ ClassifierConfig = KnnClassifier | TreeClassifier
 CLASSIFIERS = (KnnClassifier, TreeClassifier)
 
 
-def _resolve_roles(ds: Dataset, minority_label: int | None) -> tuple[int | None, int]:
-    """(minority, majority) labels for a training set.
-
-    An explicit minority label wins; otherwise the roles are recomputed from
-    the counts. Single-class data has no minority (score 0 everywhere).
-    """
+def _majority_label(ds: Dataset, minority_label: int) -> int:
+    """The other label present in a training set, or the minority label itself
+    when it is the only one."""
     values = np.unique(ds.labels)
     if len(values) > 2:
         raise SkewbenchError("classifiers support at most two classes")
-    if minority_label is not None:
-        others = [int(v) for v in values if v != minority_label]
-        if minority_label not in values:
-            if len(values) == 1:
-                return int(minority_label), int(values[0])
-            raise SkewbenchError(f"minority label {minority_label} absent from training data")
-        majority = others[0] if others else int(minority_label)
-        return int(minority_label), majority
-    if len(values) == 1:
-        return None, int(values[0])
-    s = summarize(ds)
-    return s.minority_label, s.majority_label
+    others = values[values != minority_label]
+    if len(others) == 2:
+        raise SkewbenchError(f"minority label {minority_label} absent from training data")
+    return int(others[0]) if len(others) else int(minority_label)
 
 
 @dataclass(frozen=True)
 class KnnModel:
     train: Dataset
     k: int
-    minority_label: int | None
+    minority_label: int
     majority_label: int
 
 
-def knn_fit(ds: Dataset, k: int = KnnClassifier.k, minority_label: int | None = None) -> KnnModel:
+def knn_fit(ds: Dataset, k: int = KnnClassifier.k, *, minority_label: int) -> KnnModel:
+    """A k-NN model that votes for `minority_label` against the other label present."""
     if not (1 <= k <= ds.n):
         raise SkewbenchError(f"k={k} outside valid range 1..{ds.n}")
-    minority, majority = _resolve_roles(ds, minority_label)
-    return KnnModel(train=ds, k=k, minority_label=minority, majority_label=majority)
+    return KnnModel(train=ds, k=k, minority_label=minority_label,
+                    majority_label=_majority_label(ds, minority_label))
 
 
 def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -105,9 +96,6 @@ def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]
     if q.shape[1] != model.train.d:
         raise SkewbenchError("query dimension does not match training data")
     order = nearest(model.train.points, q, model.k)
-    if model.minority_label is None:
-        return (np.full(len(q), model.majority_label, dtype=np.int64),
-                np.zeros(len(q)))
     votes = (model.train.labels[order] == model.minority_label).sum(axis=1)
     labels = np.where(votes * 2 > model.k, model.minority_label, model.majority_label)
     return labels.astype(np.int64), votes / model.k
@@ -138,9 +126,7 @@ class TreeModel:
     right: np.ndarray
     minority_count: np.ndarray
     majority_count: np.ndarray
-    max_depth: int
-    min_leaf: int
-    minority_label: int | None
+    minority_label: int
     majority_label: int
     n_features: int
 
@@ -224,9 +210,9 @@ def _level_splits(points: np.ndarray, is_min: np.ndarray, sorted_rows: np.ndarra
 
 
 def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
-             min_leaf: int = TreeClassifier.min_leaf,
-             minority_label: int | None = None) -> TreeModel:
-    """Greedy binary CART growth on Gini impurity, one depth level at a time.
+             min_leaf: int = TreeClassifier.min_leaf, *, minority_label: int) -> TreeModel:
+    """Greedy binary CART growth on Gini impurity, one depth level at a time,
+    with the rows labelled `minority_label` as the minority.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     feature values. A node splits whenever a candidate satisfies min_leaf on
@@ -239,8 +225,8 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
     TreeClassifier(max_depth=max_depth, min_leaf=min_leaf)  # parameter validation
     if ds.n == 0:
         raise SkewbenchError("cannot fit a tree on an empty dataset")
-    minority, majority = _resolve_roles(ds, minority_label)
-    is_min = (ds.labels == minority) if minority is not None else np.zeros(ds.n, dtype=bool)
+    majority = _majority_label(ds, minority_label)
+    is_min = ds.labels == minority_label
     points = ds.points
 
     # Each feature's rows sorted once; a node's rows keep this order.
@@ -285,9 +271,8 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
     feature, threshold, left, count_min, size = (np.concatenate(c) for c in zip(*levels))
     return TreeModel(feature=feature, threshold=threshold, left=left,
                      right=np.where(left < 0, -1, left + 1), minority_count=count_min,
-                     majority_count=size - count_min, max_depth=max_depth,
-                     min_leaf=min_leaf, minority_label=minority, majority_label=majority,
-                     n_features=ds.d)
+                     majority_count=size - count_min, minority_label=minority_label,
+                     majority_label=majority, n_features=ds.d)
 
 
 def tree_predict_batch(model: TreeModel, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -304,9 +289,6 @@ def tree_predict_batch(model: TreeModel, queries) -> tuple[np.ndarray, np.ndarra
         at[todo] = node
         todo = todo[model.left[node] >= 0]
     m, mj = model.minority_count[at], model.majority_count[at]
-    if model.minority_label is None:
-        labels = np.full(len(q), model.majority_label, dtype=np.int64)
-    else:
-        labels = np.where(m > mj, model.minority_label, model.majority_label).astype(np.int64)
+    labels = np.where(m > mj, model.minority_label, model.majority_label).astype(np.int64)
     return labels, (m + 1) / (m + mj + 2)  # Laplace-smoothed minority share
 

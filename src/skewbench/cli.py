@@ -65,11 +65,12 @@ def cmd_resample(args) -> int:
     cfg = _load_cfg(args)
     method = build_method(args.method, cfg)
     ds = read_dataset_csv(args.input)
+    before = _summary_block(ds)  # refuses data without exactly two classes
     rng = RngSeed(args.seed or 0).child("cli-resample").generator()
     out_ds = method.apply(ds, rng)
     write_dataset_csv(out_ds, args.out)
     print("--- before ---")
-    print(_summary_block(ds))
+    print(before)
     print("--- after ---")
     print(_summary_block(out_ds))
     print(f"wrote {args.out}")

@@ -104,19 +104,19 @@ class ClassSummary:
 
 
 def summarize(ds: Dataset) -> ClassSummary:
-    """Count classes and derive minority/majority roles from the counts.
+    """Count the two classes and derive minority/majority roles from the counts.
 
-    The minority is the class with the smallest count; ties break toward the
-    lowest label value. Roles are always recomputed, never trusted from any
-    earlier stage, since resampling can change which class is smaller.
+    Data with one class or more than two is refused. The minority is the
+    class with the smaller count; a tie breaks toward the lower label value.
+    Roles are always recomputed, never trusted from any earlier stage, since
+    resampling can change which class is smaller.
     """
     values, counts = np.unique(ds.labels, return_counts=True)
-    if len(values) < 2:
-        raise SkewbenchError("degenerate class structure: at least two classes required")
+    if len(values) != 2:
+        raise SkewbenchError(f"degenerate class structure: {len(values)} classes, need two")
     table = {int(v): int(c) for v, c in zip(values, counts)}
     minority = min(table, key=lambda lab: (table[lab], lab))
-    rest = [lab for lab in table if lab != minority]
-    majority = max(rest, key=lambda lab: (table[lab], -lab))
+    majority = next(lab for lab in table if lab != minority)
     return ClassSummary(
         counts=table,
         minority_label=minority,

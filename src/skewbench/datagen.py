@@ -158,17 +158,16 @@ class GenSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Generator-side truth: centers, per-point sub-cluster ids, minority kinds.
+    """Generator-side truth: centers and per-point sub-cluster ids.
 
     `subcluster_assignment` covers every dataset row (majority rows first,
-    then minority rows) with class-local sub-cluster indices. `kinds` holds
-    the ExampleKind code of each minority row, in row order.
+    then minority rows) with class-local sub-cluster indices. The kind of each
+    row is on the dataset itself, in `Dataset.kinds`.
     """
 
     minority_centers: np.ndarray
     majority_centers: np.ndarray
     subcluster_assignment: np.ndarray
-    kinds: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "minority_centers",
@@ -177,7 +176,6 @@ class GroundTruth:
                            _frozen_array(self.majority_centers, np.float64))
         object.__setattr__(self, "subcluster_assignment",
                            _frozen_array(self.subcluster_assignment, np.int64))
-        object.__setattr__(self, "kinds", _frozen_array(self.kinds, np.uint8))
 
 
 def sample_centers(count: int, box: tuple[float, float], min_sep: float,
@@ -362,6 +360,5 @@ def generate_imbalanced(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
     ds = Dataset(points, labels, kinds)
     gt = GroundTruth(minority_centers=minority_centers,
                      majority_centers=majority_centers,
-                     subcluster_assignment=np.concatenate([maj_assign, min_assign]),
-                     kinds=min_kinds)
+                     subcluster_assignment=np.concatenate([maj_assign, min_assign]))
     return ds, gt

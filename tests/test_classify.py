@@ -6,7 +6,7 @@ import pytest
 import reference_tree as reference
 from skewbench import core
 from skewbench.classify import knn_fit, knn_predict_batch, tree_fit, tree_predict_batch
-from skewbench.core import Dataset, RngSeed, SkewbenchError
+from skewbench.core import Dataset, RngSeed, SkewbenchError, summarize
 
 
 def ds_of(points, labels):
@@ -16,7 +16,7 @@ def ds_of(points, labels):
 class TestKnn:
     def test_k1_returns_training_label(self):
         ds = ds_of([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], [0, 1, 0])
-        model = knn_fit(ds, k=1)
+        model = knn_fit(ds, k=1, minority_label=1)
         labels, scores = knn_predict_batch(model, [[5.0, 5.0], [0.0, 0.0]])
         assert labels.tolist() == [1, 0]
         assert scores.tolist() == [1.0, 0.0]
@@ -24,14 +24,14 @@ class TestKnn:
     def test_two_of_three_vote(self):
         ds = ds_of([[0.0], [0.1], [0.2], [9.0], [9.1], [9.2], [9.3]],
                    [1, 1, 0, 0, 0, 0, 0])
-        model = knn_fit(ds, k=3)
+        model = knn_fit(ds, k=3, minority_label=1)
         labels, scores = knn_predict_batch(model, [[0.05]])
         assert labels.tolist() == [1]
         assert scores[0] == pytest.approx(2 / 3)
 
     def test_tie_goes_to_majority(self):
         ds = ds_of([[0.0], [1.0], [10.0], [11.0], [12.0]], [1, 1, 0, 0, 0])
-        model = knn_fit(ds, k=2)
+        model = knn_fit(ds, k=2, minority_label=1)
         labels, scores = knn_predict_batch(model, [[0.5], [5.5]])
         assert scores[0] == pytest.approx(1.0)  # both neighbors minority
         assert labels[1] == 0  # one of each: tie resolves to majority
@@ -61,47 +61,65 @@ class TestKnn:
         labels = (rng.random(40) < 0.25).astype(int)
         labels[:2] = [0, 1]
         ds = Dataset(pts, labels)
-        model = knn_fit(ds, k=1)
+        model = knn_fit(ds, k=1, minority_label=1)
         pred, _ = knn_predict_batch(model, pts)
         assert np.array_equal(pred, labels)
 
     def test_k_out_of_range(self):
         ds = ds_of([[0.0], [1.0]], [0, 1])
         with pytest.raises(SkewbenchError):
-            knn_fit(ds, k=3)
+            knn_fit(ds, k=3, minority_label=1)
         with pytest.raises(SkewbenchError):
-            knn_fit(ds, k=0)
+            knn_fit(ds, k=0, minority_label=1)
 
     def test_dimension_mismatch(self):
         ds = ds_of([[0.0, 1.0], [1.0, 0.0]], [0, 1])
-        model = knn_fit(ds, k=1)
+        model = knn_fit(ds, k=1, minority_label=1)
         with pytest.raises(SkewbenchError, match="dimension"):
             knn_predict_batch(model, [[1.0, 2.0, 3.0]])
+
+
+class TestRoles:
+    """Both classifiers vote for the label they are given against the other one present."""
+
+    def test_majority_is_the_other_label_present(self):
+        assert knn_fit(ds_of([[0.0], [1.0]], [2, 5]), k=1, minority_label=5).majority_label == 2
+        assert tree_fit(ds_of([[0.0], [1.0]], [4, 4]), minority_label=0).majority_label == 4
+        assert tree_fit(ds_of([[0.0], [1.0]], [4, 4]), minority_label=4).majority_label == 4
+
+    @pytest.mark.parametrize("fit", [lambda ds, label: knn_fit(ds, k=1, minority_label=label),
+                                     lambda ds, label: tree_fit(ds, minority_label=label)],
+                             ids=["knn", "tree"])
+    def test_refused(self, fit):
+        with pytest.raises(SkewbenchError, match="at most two classes"):
+            fit(ds_of([[0.0], [1.0], [2.0]], [0, 1, 2]), 1)
+        with pytest.raises(SkewbenchError, match="minority label 1 absent"):
+            fit(ds_of([[0.0], [1.0]], [0, 2]), 1)
 
 
 class TestTreeFit:
     def test_pure_input_single_leaf(self):
         ds = ds_of([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [0, 0, 0])
-        model = tree_fit(ds)
+        model = tree_fit(ds, minority_label=1)
         assert len(model.nodes) == 1
         assert model.nodes[0].left < 0
 
     def test_xor_separable_at_depth_two(self):
         ds = ds_of([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], [0, 0, 1, 1])
-        model = tree_fit(ds, max_depth=2, min_leaf=1)
+        model = tree_fit(ds, max_depth=2, min_leaf=1, minority_label=0)
         pred, _ = tree_predict_batch(model, ds.points)
         assert np.array_equal(pred, ds.labels)
 
     def test_unique_zero_impurity_root(self):
         ds = ds_of([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
-        model = tree_fit(ds, min_leaf=1)
+        model = tree_fit(ds, min_leaf=1, minority_label=0)
         root = model.nodes[0]
         assert root.feature == 0
         assert root.threshold == pytest.approx(1.5)
 
     def test_identical_features_mixed_labels_single_leaf(self):
         ds = ds_of([[2.0, 2.0]] * 5, [0, 0, 0, 1, 1])
-        model = tree_fit(ds, min_leaf=1)
+        model = tree_fit(ds, min_leaf=1, minority_label=1)
         assert len(model.nodes) == 1
         labels, _ = tree_predict_batch(model, [[2.0, 2.0]])
         assert labels.tolist() == [0]  # leaf majority
@@ -110,7 +128,8 @@ class TestTreeFit:
         rng = RngSeed(5).generator()
         pts = rng.normal(size=(60, 2))
         labels = (pts[:, 0] + 0.2 * rng.normal(size=60) > 0).astype(int)
-        model = tree_fit(Dataset(pts, labels), max_depth=8, min_leaf=5)
+        ds = Dataset(pts, labels)
+        model = tree_fit(ds, max_depth=8, min_leaf=5, minority_label=summarize(ds).minority_label)
         for node in model.nodes:
             if node.left < 0:
                 assert node.minority_count + node.majority_count >= 5
@@ -119,7 +138,8 @@ class TestTreeFit:
         rng = RngSeed(6).generator()
         pts = rng.normal(size=(120, 2))
         labels = (rng.random(120) < 0.5).astype(int)
-        model = tree_fit(Dataset(pts, labels), max_depth=3, min_leaf=1)
+        ds = Dataset(pts, labels)
+        model = tree_fit(ds, max_depth=3, min_leaf=1, minority_label=summarize(ds).minority_label)
 
         def depth(index, d=0):
             node = model.nodes[index]
@@ -133,7 +153,8 @@ class TestTreeFit:
         rng = RngSeed(7).generator()
         pts = rng.normal(size=(150, 2))
         labels = ((pts[:, 0] > 0) ^ (rng.random(150) < 0.2)).astype(int)
-        model = tree_fit(Dataset(pts, labels), max_depth=6, min_leaf=2)
+        ds = Dataset(pts, labels)
+        model = tree_fit(ds, max_depth=6, min_leaf=2, minority_label=summarize(ds).minority_label)
 
         def gini(node):
             n = node.minority_count + node.majority_count
@@ -153,7 +174,7 @@ class TestTreeFit:
 class TestTreePredict:
     def test_single_leaf_constant(self):
         ds = ds_of([[0.0], [1.0]], [0, 0])
-        model = tree_fit(ds)
+        model = tree_fit(ds, minority_label=1)
         labels, scores = tree_predict_batch(model, [[-5.0], [0.5], [99.0]])
         assert labels.tolist() == [0, 0, 0]
         assert scores.tolist() == pytest.approx([1 / 4] * 3)  # Laplace (0+1)/(2+2)
@@ -162,14 +183,14 @@ class TestTreePredict:
         # A leaf holding (minority=3, majority=1) predicts minority with 4/6.
         ds = ds_of([[0.0], [0.1], [0.2], [0.3], [9.0], [9.1], [9.2], [9.3], [9.4]],
                    [1, 1, 1, 0, 0, 0, 0, 0, 0])
-        model = tree_fit(ds, max_depth=1, min_leaf=4)
+        model = tree_fit(ds, max_depth=1, min_leaf=4, minority_label=1)
         labels, scores = tree_predict_batch(model, [[0.0]])
         assert labels.tolist() == [1]
         assert scores[0] == pytest.approx(4 / 6)
 
     def test_leaf_tie_prefers_majority(self):
         ds = ds_of([[0.0], [1.0], [10.0], [11.0], [12.0], [13.0]], [1, 1, 0, 0, 0, 0])
-        model = tree_fit(ds, max_depth=0)
+        model = tree_fit(ds, max_depth=0, minority_label=1)
         labels, _ = tree_predict_batch(model, [[0.0]])
         assert labels.tolist() == [0]
         ds2 = ds_of([[0.0], [1.0], [10.0], [11.0]], [1, 1, 0, 0])
@@ -211,15 +232,17 @@ class TestTreePredict:
             out[:, 1] = out[:, 1] ** 3
             return out
 
-        plain = tree_fit(Dataset(pts, labels), max_depth=5, min_leaf=2)
-        scaled = tree_fit(Dataset(monotone(pts), labels), max_depth=5, min_leaf=2)
+        minority = summarize(Dataset(pts, labels)).minority_label
+        plain = tree_fit(Dataset(pts, labels), max_depth=5, min_leaf=2, minority_label=minority)
+        scaled = tree_fit(Dataset(monotone(pts), labels), max_depth=5, min_leaf=2,
+                          minority_label=minority)
         p1, _ = tree_predict_batch(plain, queries)
         p2, _ = tree_predict_batch(scaled, monotone(queries))
         assert np.array_equal(p1, p2)
 
     def test_dimension_mismatch(self):
         ds = ds_of([[0.0, 0.0], [1.0, 1.0]], [0, 1])
-        model = tree_fit(ds, min_leaf=1)
+        model = tree_fit(ds, min_leaf=1, minority_label=0)
         with pytest.raises(SkewbenchError, match="dimension"):
             tree_predict_batch(model, [[0.0]])
 
@@ -262,11 +285,9 @@ def oracle_data(kind, dims, seed=0, n=90):
     return pts, (rng.random(n) < 0.35).astype(int)
 
 
-def assert_matches_reference(ds, max_depth, min_leaf, minority_label=None):
-    model = tree_fit(ds, max_depth, min_leaf, minority_label)
-    is_min = (ds.labels == model.minority_label if model.minority_label is not None
-              else np.zeros(ds.n, dtype=bool))
-    nodes = reference.tree_fit(ds.points, is_min, max_depth, min_leaf)
+def assert_matches_reference(ds, max_depth, min_leaf, minority_label):
+    model = tree_fit(ds, max_depth, min_leaf, minority_label=minority_label)
+    nodes = reference.tree_fit(ds.points, ds.labels == minority_label, max_depth, min_leaf)
     assert len(model.nodes) == len(nodes)
     assert preorder(node_rows(model)) == preorder(nodes)  # depths included
     # Queries on every threshold exercise the <= routing of predict.
@@ -296,7 +317,7 @@ class TestReferenceOracle:
             if block is not None:
                 monkeypatch.setattr(core, "_BLOCK_BYTES", block * 8 * ds.n)
             for max_depth, min_leaf in ((0, 1), (2, 1), (5, 3), (12, 2), (13, 1)):
-                assert_matches_reference(ds, max_depth, min_leaf)
+                assert_matches_reference(ds, max_depth, min_leaf, summarize(ds).minority_label)
                 assert_matches_reference(ds, max_depth, min_leaf, minority_label=0)
 
     @pytest.mark.parametrize("block", [None, 1])
@@ -308,10 +329,10 @@ class TestReferenceOracle:
         if block is not None:
             monkeypatch.setattr(core, "_BLOCK_BYTES", block * 8 * len(pts))
         for min_leaf in (1, 2, 4):
-            assert_matches_reference(Dataset(pts, labels), 12, min_leaf)
+            assert_matches_reference(Dataset(pts, labels), 12, min_leaf, minority_label=0)
             assert_matches_reference(Dataset(pts, labels), 12, min_leaf, minority_label=1)
 
-    @pytest.mark.parametrize("minority_label", [None, 0, 3])
+    @pytest.mark.parametrize("minority_label", [0, 3])
     def test_single_class(self, minority_label):
         pts, _ = oracle_data("random", 2)
         assert_matches_reference(Dataset(pts, np.zeros(len(pts), dtype=int)), 12, 1,
@@ -323,7 +344,7 @@ def test_deep_chain_fits_without_recursion():
     # every level, so the tree is 1199 levels deep.
     n = 1200
     ds = Dataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 2)
-    model = tree_fit(ds, max_depth=100_000, min_leaf=1)
+    model = tree_fit(ds, max_depth=100_000, min_leaf=1, minority_label=0)
     assert max(row[0] for row in preorder(node_rows(model))) == n - 1
     labels, _ = tree_predict_batch(model, ds.points)
     assert np.array_equal(labels, ds.labels)
@@ -337,7 +358,7 @@ def test_fit_peak_memory_bounded_with_many_features():
     ds = Dataset(pts, (pts[:, 0] + rng.normal(size=len(pts)) > 1).astype(int))
     tracemalloc.start()
     try:
-        tree_fit(ds, max_depth=1)
+        tree_fit(ds, max_depth=1, minority_label=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -414,6 +414,21 @@ class TestBadInput:
         assert main(argv + ["in.csv"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # Roles come from exactly two classes: a third is refused before any output
+    # is written, not left out of the balance or the cleaning.
+    @pytest.mark.parametrize("argv", [["resample", "--method", name, "--out", "out.csv"]
+                                      for name in METHOD_NAMES] + [["plot", "--out", "out.svg"]],
+                             ids=[*METHOD_NAMES, "plot"])
+    def test_three_classes_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(0)
+        labels = np.repeat([0, 1, 2], [40, 12, 8])
+        write_dataset_csv(Dataset(rng.normal(size=(60, 2)), labels), tmp_path / "in.csv")
+        assert main(argv + ["in.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: degenerate class structure: 3 classes, need two\n"
+        assert not (tmp_path / argv[-1]).exists()
+
     def test_config_not_utf8_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"gen.box = 0,20\ngen.n_samples = 4\xff00\n")

@@ -104,6 +104,21 @@ class TestMeanShift:
         used = np.unique(model.assignment)
         assert used.tolist() == list(range(len(model.centers)))
 
+    def test_point_at_one_bandwidth_is_in_the_window(self):
+        # The window is a closed ball: each point sees the other at exactly one
+        # bandwidth, so both seeds meet at the midpoint.
+        model = mean_shift(np.array([[0.0], [1.0]]), bandwidth=1.0)
+        assert model.centers.tolist() == [[0.5]]
+
+    def test_mode_at_half_bandwidth_is_kept(self):
+        # Each seed is the mean of its window, so both stay put, exactly
+        # bandwidth/2 apart. Equal strength ranks the first seed first, and a
+        # mode is merged only when it lies strictly within bandwidth/2 of it.
+        pts = np.array([[-3.0], [-1.0], [1.0], [3.0], [5.0]])
+        model = mean_shift(pts, bandwidth=4.0, seeds=np.array([[0.0], [2.0]]))
+        assert model.centers.tolist() == [[0.0], [2.0]]
+        assert model.assignment.tolist() == [0, 0, 0, 1, 1]
+
     def test_merged_centers_respect_half_bandwidth(self):
         pts, _ = generate_blobs(np.array([[0.0, 0.0], [2.0, 0.0], [20.0, 0.0]]),
                                 [50, 50, 50], 0.8, rng(7))

@@ -41,7 +41,12 @@ class TestSummarize:
         with pytest.raises(SkewbenchError, match="degenerate class structure"):
             summarize(make_dataset({3: 10}))
 
-    @given(st.permutations([0, 1, 2]), st.lists(st.integers(1, 40), min_size=3, max_size=3))
+    def test_three_classes_rejected(self):
+        with pytest.raises(SkewbenchError, match="3 classes, need two"):
+            summarize(make_dataset({0: 40, 1: 12, 2: 8}))
+
+    # Two classes relabelled with two of the labels 0, 1 and 2.
+    @given(st.permutations([0, 1, 2]), st.lists(st.integers(1, 40), min_size=2, max_size=2))
     @settings(max_examples=50, deadline=None)
     def test_label_permutation_covariance(self, perm, sizes):
         base = make_dataset(dict(enumerate(sizes)))
@@ -197,8 +202,8 @@ class TestNearest:
     def test_callers_independent_of_block_size(self, monkeypatch, rows):
         ds = lattice_dataset()
         queries = ds.points[:31] + 0.25
-        model = knn_fit(ds, k=5)
-        minority = ds.points[ds.labels == summarize(ds).minority_label]
+        model = knn_fit(ds, k=5, minority_label=summarize(ds).minority_label)
+        minority = ds.points[ds.labels == model.minority_label]
 
         def outputs(rows):
             self.use_rows(monkeypatch, rows, ds.points)
@@ -215,7 +220,7 @@ class TestNearest:
     def test_peak_memory_bounded_at_n2000(self, call):
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(2000, 2)), (rng.random(2000) < 0.3).astype(int))
-        model = knn_fit(ds, k=5)
+        model = knn_fit(ds, k=5, minority_label=1)
         run = {"ncr": lambda: ncr(ds, k=3),
                "knn_predict_batch": lambda: knn_predict_batch(model, ds.points)}[call]
         tracemalloc.start()
@@ -389,6 +394,12 @@ class TestSeeds:
         a = RngSeed(9).child("x", 1).generator().random(4)
         b = RngSeed(9).child("x", 1).generator().random(4)
         assert np.array_equal(a, b)
+
+    def test_vectors_with_index_above_32_bits(self):
+        # All 64 index bits are mixed in: a 32-bit mask would map 2**32 + 3 onto 3.
+        assert derive_seed(42, "blobs", 3) == 0x25183357FE5AAAF8
+        assert derive_seed(42, "blobs", 2 ** 32 + 3) == 0x86CA2CBA0A7D4C30
+        assert derive_seed(2 ** 64 - 1, "fold", 2 ** 64 - 1) == 0xD734F6EB27F1ABB2
 
     def test_value_masked_to_64_bits(self):
         assert RngSeed(2 ** 70 + 5).value == RngSeed(5).value

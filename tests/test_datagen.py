@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from skewbench.core import ExampleKind, RngSeed, SkewbenchError, pairwise_sq
 from skewbench.datagen import (MAX_DIMS, MAX_SAMPLES, REACH_SIGMA, GenSpec,
                                apply_disturbance, generate_blobs, generate_imbalanced,
-                               inject_rare, largest_remainder, sample_centers)
+                               _even_split, inject_rare, largest_remainder,
+                               sample_centers)
 from skewbench.classify import knn_fit, knn_predict_batch
 from skewbench.evaluation import ExperimentSpec, stratified_kfold
 from skewbench.resample import Sparsity, sparsity
@@ -201,6 +202,13 @@ class TestSpanBound:
             ExperimentSpec(methods=(Sparsity(1.03 * alpha),), template=spec)
 
 
+def test_even_split_gives_leftover_rows_to_first_groups():
+    assert _even_split(6, 3).tolist() == [2, 2, 2]
+    assert _even_split(7, 3).tolist() == [3, 2, 2]
+    assert _even_split(34, 3).tolist() == [12, 11, 11]
+    assert _even_split(2, 5).tolist() == [1, 1, 0, 0, 0]
+
+
 class TestLargestRemainder:
     def test_exact_sum(self):
         assert largest_remainder([0.3, 0.5, 0.2], 100).tolist() == [30, 50, 20]
@@ -231,18 +239,17 @@ class TestGenerateImbalanced:
         spec = GenSpec(n_samples=800, class_ratio=(7, 1), seed=3,
                        minority_subclusters=3, disturbance_ratio=0.5,
                        rare_fraction=0.2, safe_fraction=0.3)
-        ds, gt = generate_imbalanced(spec)
+        ds, _ = generate_imbalanced(spec)
         assert ds.n == 800
         assert np.sum(ds.labels == 0) == 700
         assert np.sum(ds.labels == 1) == 100
-        counts = np.bincount(gt.kinds, minlength=3)
+        counts = np.bincount(ds.kinds[ds.labels == 1], minlength=3)
         assert counts[int(ExampleKind.SAFE)] == 30
         assert counts[int(ExampleKind.BORDERLINE)] == 50
         assert counts[int(ExampleKind.RARE)] == 20
-        # Kind tags on the dataset: majority rows all MAJORITY, minority rows
-        # match the ground-truth kinds.
+        # Majority rows come first, all tagged MAJORITY; the minority rows follow.
         assert np.all(ds.kinds[:700] == int(ExampleKind.MAJORITY))
-        assert np.array_equal(ds.kinds[700:], gt.kinds)
+        assert np.array_equal(ds.kinds[700:], ds.kinds[ds.labels == 1])
 
     def test_paper_shape_316_84(self):
         ds, _ = generate_imbalanced(GenSpec(n_samples=400, class_ratio=(79, 21), seed=1))
@@ -272,9 +279,9 @@ class TestGenerateImbalanced:
         spec = GenSpec(n_samples=240, class_ratio=(5, 1), seed=seed,
                        minority_subclusters=subclusters,
                        disturbance_ratio=disturbance, rare_fraction=0.1)
-        ds, gt = generate_imbalanced(spec)
+        ds, _ = generate_imbalanced(spec)
         _, n_min = spec.class_counts()
-        counts = np.bincount(gt.kinds, minlength=3)
+        counts = np.bincount(ds.kinds[ds.labels == 1], minlength=3)
         assert counts.sum() == n_min
         assert tuple(counts[:3]) == spec.kind_counts()
 
@@ -287,6 +294,6 @@ class TestGenerateImbalanced:
         fold = stratified_kfold(ds, 2, seed=17)
         train = ds.subset(np.flatnonzero(fold != 0))
         test_rows = np.flatnonzero(fold == 0)
-        model = knn_fit(train, k=1)
+        model = knn_fit(train, k=1, minority_label=1)
         pred, _ = knn_predict_batch(model, ds.points[test_rows])
         assert np.mean(pred == ds.labels[test_rows]) >= 0.99

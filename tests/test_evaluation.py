@@ -145,7 +145,7 @@ class TestMidranks:
     def tree_scores() -> np.ndarray:
         # A shallow tree's leaf fractions: few distinct values, long runs.
         ds, _ = generate_imbalanced(GenSpec(n_samples=200, class_ratio=(4, 1), seed=3))
-        model = tree_fit(ds, max_depth=3, min_leaf=5)
+        model = tree_fit(ds, max_depth=3, min_leaf=5, minority_label=1)
         return tree_predict_batch(model, ds.points)[1]
 
     @pytest.mark.parametrize("case", ["tree", "all_equal", "one", "empty", "nan_and_zeros"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -169,14 +171,14 @@ class TestNcr:
         with pytest.raises(SkewbenchError, match="more than k"):
             ncr(ds, k=3)
 
+    # An even k lets a vote tie, which counts as a majority-class prediction.
     def test_matches_brute_force_vote_oracle(self):
-        for seed in range(8):
+        for seed, k in itertools.product(range(8), (2, 3, 4)):
             r = rng(100 + seed)
             n_maj, n_min = 25, 10
             pts = np.round(r.normal(size=(n_maj + n_min, 2)) * 3)  # ties likely
             labels = np.array([0] * n_maj + [1] * n_min)
             ds = Dataset(pts, labels)
-            k = 3
             removed = set()
             votes = {}
             for i in range(ds.n):
