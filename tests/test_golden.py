@@ -5,12 +5,13 @@ ALL_METHODS_CONFIG (every method with both classifiers, at counts that leave
 remainders across classes, sub-clusters and folds), and, for `gen.dims` = 1,
 2, 3 and 9 at seed 5, the file pipeline `generate` -> `resample` (co, ncr,
 smote, sparsity) -> `eval` (two runs that between them cover every method)
--> `plot --show-centers` (2-D only, the one dimension `plot` renders). Together they cover the
-column-wise and the broadcast branch of `core.pairwise_sq`, the neighbour
-top-k and MeanShift. At n = 300 no `core.nearest` call is large enough for
-its feature-0 sweep, so each digest is checked again with `core._BLOCK_BYTES`
-shrunk until calls go through the sweep. A change that alters one output
-byte fails here; only a change meant to alter outputs may rewrite the file:
+-> `plot --show-centers` (2-D only, the one dimension `plot` renders).
+Together they cover the column-wise and the broadcast branch of
+`core.pairwise_sq`, the neighbour top-k and MeanShift. At n = 300 no
+`core.nearest` call is large enough for its feature-0 sweep, so each digest
+is checked again with `core._BLOCK_BYTES` shrunk until calls go through the
+sweep. A change that alters one output byte fails here; only a change meant
+to alter outputs may rewrite the file:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
