@@ -85,10 +85,8 @@ def cmd_eval(args) -> int:
     classifiers = tuple(build_classifier(name, cfg)
                         for name in args.classifier or _names(ExperimentSpec.classifiers))
     seed = RngSeed(args.seed or 0)
-    minority = summarize(ds).minority_label
     assignment = stratified_kfold(ds, args.folds, seed.child("folds"))
-    results = evaluate_folds(ds, assignment, methods, classifiers,
-                             seed.child("eval"), minority)
+    results = evaluate_folds(ds, assignment, methods, classifiers, seed.child("eval"))
     print("method,classifier," + ",".join(f"{m}_mean,{m}_std" for m in METRIC_NAMES))
     for method in methods:
         for clf in classifiers:

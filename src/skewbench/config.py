@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from .core import ConfigError, SkewbenchError
 from .datagen import GenSpec
 from .classify import CLASSIFIERS, ClassifierConfig
-from .evaluation import ExperimentSpec
+from .evaluation import CellKey, ExperimentSpec, _cell_gen_spec
 from .resample import METHODS, MethodConfig
 
 
@@ -43,9 +44,7 @@ KNOWN_KEYS = frozenset(
     + [_exp_key(f.name) for f in fields(ExperimentSpec) if f.name != "template"]
     + [f"{cls.name}.{f.name}" for cls in METHODS + CLASSIFIERS for f in fields(cls)])
 
-# Shown by `generate --help`; safe_fraction has no default, it is derived.
-GEN_DEFAULTS = {_gen_key(f.name): _show(f.default)
-                for f in fields(GenSpec) if f.default is not None}
+GEN_DEFAULTS = {_gen_key(f.name): _show(f.default) for f in fields(GenSpec)}
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
@@ -99,15 +98,11 @@ def _parse_float(raw: str, key: str) -> float:
 
 
 def _parse_ratio(raw: str, key: str) -> tuple[int, int]:
-    parts = raw.split(":")
     try:
-        maj, minor = (int(p) for p in parts)
+        maj, minor = (int(p) for p in raw.split(":"))
     except ValueError:
         raise ConfigError(f"{key} must look like majority:minority, e.g. 5:1; "
                           f"got {raw!r}") from None
-    if minor < 1 or maj < minor:
-        raise ConfigError(f"{key} needs majority parts >= minority parts >= 1, "
-                          f"got {raw!r}")
     return maj, minor
 
 
@@ -152,13 +147,12 @@ def _construct(cls, values: dict):
         raise ConfigError(str(exc)) from None
 
 
-def build_gen_spec(cfg: dict[str, str], seed: int | None = None) -> GenSpec:
+def build_gen_spec(cfg: dict[str, str], seed: int | None = None, **cell) -> GenSpec:
     values = _values(GenSpec, cfg, _gen_key, {"class_ratio": _parse_ratio,
-                                              "center_box": _parse_box,
-                                              "safe_fraction": _parse_float})
+                                              "center_box": _parse_box})
     if seed is not None:
         values["seed"] = seed
-    return _construct(GenSpec, values)
+    return _construct(GenSpec, values | cell)
 
 
 def _build(classes, what: str, name: str, cfg: dict[str, str]):
@@ -179,6 +173,10 @@ def build_classifier(name: str, cfg: dict[str, str]) -> ClassifierConfig:
 
 
 def build_experiment_spec(cfg: dict[str, str], seed: int | None = None) -> ExperimentSpec:
+    for name, field in CellKey.GEN_FIELDS:
+        if _gen_key(name) in cfg:
+            owner = "exp.seed or --seed" if name == "seed" else f"the exp.{field} axis"
+            raise ConfigError(f"experiment sets {_gen_key(name)} per cell from {owner}")
     def each(parse):
         return lambda raw, key: tuple(parse(item, key) for item in _split_list(raw))
 
@@ -193,5 +191,8 @@ def build_experiment_spec(cfg: dict[str, str], seed: int | None = None) -> Exper
         values[field] = tuple(build(name, cfg) for name in values.get(field, default))
     if seed is not None:
         values["seed"] = seed
-    values["template"] = build_gen_spec(cfg)
+    # The template is cell 0's recipe, so it is refused only when cell 0 is.
+    first = CellKey(*(values.get(field, getattr(ExperimentSpec, field))[0]
+                      for _, field in CellKey.GEN_FIELDS[:-1]))
+    values["template"] = _cell_gen_spec(partial(build_gen_spec, cfg), first, 0)
     return _construct(ExperimentSpec, values)

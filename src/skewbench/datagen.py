@@ -87,7 +87,6 @@ class GenSpec:
     min_center_separation: float = 5.0
     disturbance_ratio: float = 0.0
     rare_fraction: float = 0.0
-    safe_fraction: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", as_seed(self.seed))
@@ -116,15 +115,7 @@ class GenSpec:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise SkewbenchError(f"{name} must lie in [0, 1]")
-        if self.safe_fraction is not None:
-            if not (0.0 <= self.safe_fraction <= 1.0):
-                raise SkewbenchError("safe_fraction must lie in [0, 1]")
-            total = self.safe_fraction + self.disturbance_ratio + self.rare_fraction
-            if abs(total - 1.0) > 1e-9:
-                raise SkewbenchError(
-                    "safe_fraction + disturbance_ratio + rare_fraction must equal 1, "
-                    f"got {total:.6g}")
-        elif self.disturbance_ratio + self.rare_fraction > 1.0 + 1e-9:
+        if self.disturbance_ratio + self.rare_fraction > 1.0 + 1e-9:
             raise SkewbenchError("disturbance_ratio + rare_fraction must not exceed 1")
         n_maj, n_min = self.class_counts()
         if n_min < self.minority_subclusters:
@@ -149,9 +140,7 @@ class GenSpec:
     def kind_counts(self) -> tuple[int, int, int]:
         """(safe, borderline, rare) minority counts, largest-remainder rounded."""
         _, n_min = self.class_counts()
-        safe = self.safe_fraction
-        if safe is None:
-            safe = max(0.0, 1.0 - self.disturbance_ratio - self.rare_fraction)
+        safe = max(0.0, 1.0 - self.disturbance_ratio - self.rare_fraction)
         parts = largest_remainder([safe, self.disturbance_ratio, self.rare_fraction], n_min)
         return int(parts[0]), int(parts[1]), int(parts[2])
 

@@ -11,7 +11,8 @@ master seed and the unit's position, so reports are byte-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -128,14 +129,15 @@ def stratified_kfold(ds: Dataset, folds: int, seed: RngSeed | int) -> np.ndarray
 def evaluate_folds(ds: Dataset, fold_assignment: np.ndarray,
                    methods: tuple[MethodConfig, ...],
                    classifiers: tuple[ClassifierConfig, ...],
-                   seed: RngSeed, minority: int,
-                   subclusters_full: np.ndarray | None = None,
+                   seed: RngSeed, subclusters_full: np.ndarray | None = None,
                    ) -> dict[tuple[str, str], list[Metrics]]:
     """One CV pass: resample each training fold, evaluate on the raw test fold.
 
+    The minority label comes from the class counts of `ds`, once for all folds.
     `subclusters_full` optionally carries per-row sub-cluster ids (ground
     truth) for cluster-aware methods; only the minority entries are used.
     """
+    minority = summarize(ds).minority_label
     folds = int(fold_assignment.max()) + 1
     results: dict[tuple[str, str], list[Metrics]] = {
         (m.name, c.name): [] for m in methods for c in classifiers}
@@ -166,6 +168,11 @@ class CellKey:
     ratio: tuple[int, int]
     disturbance: float
 
+    # (GenSpec field, ExperimentSpec field that sets it): the fields above, then the seed.
+    GEN_FIELDS = (("minority_subclusters", "subclusters"), ("n_samples", "sizes"),
+                  ("class_ratio", "ratios"), ("disturbance_ratio", "disturbances"),
+                  ("seed", "seed"))
+
     def describe(self) -> str:
         return (f"subclusters={self.subclusters} size={self.size} "
                 f"ratio={self.ratio[0]}:{self.ratio[1]} disturbance={self.disturbance:g}")
@@ -175,8 +182,8 @@ class CellKey:
 class ExperimentSpec:
     """The grid axes and CV protocol, plus the generator settings every cell shares.
 
-    Each cell generates from `template` with its own size, ratio, sub-cluster
-    count, disturbance and seed.
+    Each cell generates from `template` with its own CellKey.GEN_FIELDS; every
+    cell's GenSpec is built here, so a cell that cannot run is refused up front.
     """
 
     subclusters: tuple[int, ...] = (2,)
@@ -195,14 +202,14 @@ class ExperimentSpec:
                      "methods", "classifiers"):
             if len(getattr(self, name)) == 0:
                 raise SkewbenchError(f"experiment grid field {name} must be nonempty")
-        if any(not 0.0 <= d <= 1.0 for d in self.disturbances):
-            raise SkewbenchError("experiment disturbances must lie in [0, 1]")
         if self.repeats < 1:
             raise SkewbenchError("repeats must be >= 1")
         if self.folds < 2:
             raise SkewbenchError("folds must be >= 2")
         for method in self.methods:
             check_spread(method, self.template.span(), self.template.dims)
+        for cell in self.cells():
+            _cell_gen_spec(partial(replace, self.template), cell, self.template.seed)
 
     def cells(self) -> list[CellKey]:
         return [CellKey(sc, size, ratio, dist)
@@ -239,23 +246,22 @@ class ExperimentReport:
         return sum(1 for r in self.rows if r.error)
 
 
-def _cell_gen_spec(spec: ExperimentSpec, cell: CellKey, seed: RngSeed) -> GenSpec:
-    # safe_fraction stays derived: a fixed share could not sum to 1 with every
-    # disturbance on the grid.
-    return replace(spec.template, n_samples=cell.size, class_ratio=cell.ratio, seed=seed,
-                   minority_subclusters=cell.subclusters,
-                   disturbance_ratio=cell.disturbance, safe_fraction=None)
+def _cell_gen_spec(build, cell: CellKey, seed: RngSeed | int) -> GenSpec:
+    """`build` (GenSpec fields to GenSpec) given the cell's fields; a refusal names the cell."""
+    try:
+        return build(**{name: v for (name, _), v in zip(cell.GEN_FIELDS, (*astuple(cell), seed))})
+    except SkewbenchError as exc:
+        raise ConfigError(f"experiment cell {cell.describe()}: {exc}") from None
 
 
 def _run_unit(spec: ExperimentSpec, cell: CellKey, cell_index: int, repeat: int,
               ) -> dict[tuple[str, str], list[Metrics]]:
     unit_seed = RngSeed(spec.seed).child("cell", cell_index).child("repeat", repeat)
-    gen = _cell_gen_spec(spec, cell, unit_seed.child("data"))
+    gen = _cell_gen_spec(partial(replace, spec.template), cell, unit_seed.child("data"))
     ds, gt = generate_imbalanced(gen)
-    minority = summarize(ds).minority_label
     assignment = stratified_kfold(ds, spec.folds, unit_seed.child("folds"))
     return evaluate_folds(ds, assignment, spec.methods, spec.classifiers,
-                          unit_seed, minority, subclusters_full=gt.subcluster_assignment)
+                          unit_seed, subclusters_full=gt.subcluster_assignment)
 
 
 def aggregate(values: list[Metrics]) -> tuple[dict[str, float], dict[str, float]]:

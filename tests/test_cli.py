@@ -115,11 +115,10 @@ class TestGenerateCommand:
 
     def test_invalid_fractions_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("gen.disturbance_ratio = 0.8\ngen.rare_fraction = 0.3\n"
-                       "gen.safe_fraction = 0.3\n")
+        cfg.write_text("gen.disturbance_ratio = 0.8\ngen.rare_fraction = 0.3\n")
         code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "must equal 1" in capsys.readouterr().err
+        assert "must not exceed 1" in capsys.readouterr().err
 
     def test_infeasible_packing_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "packed.cfg"
@@ -304,7 +303,7 @@ class TestPlotCommand:
 
 class TestBadInput:
     @pytest.mark.parametrize("command,config", [
-        ("generate", "gen.safe_fraction = abc"),
+        ("generate", "gen.rare_fraction = abc"),
         ("generate", "gen.box = 0,inf"),
         ("generate", "gen.box = -1e308,1e308"),
         ("generate", "gen.sub_sigma = nan"),
@@ -341,6 +340,53 @@ class TestBadInput:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "out").exists()
+
+    # GenSpec checks every cell of the grid before any unit runs; the line names
+    # the cell, whether it is cell 0, which the template is built as, or a later one.
+    @pytest.mark.parametrize("config,named", [
+        ("exp.sizes = 1", "size=1 "),
+        ("exp.sizes = 20000000", "size=20000000 "),
+        ("exp.sizes = 400,1", "size=1 "),
+        ("exp.subclusters = 0", "subclusters=0 "),
+        ("exp.subclusters = 200", "subclusters=200 "),
+        ("exp.disturbances = 0.9\ngen.rare_fraction = 0.2", "disturbance=0.9:"),
+    ])
+    def test_unrunnable_cell_exit_2(self, tmp_path, capsys, config, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\nexp.repeats = 1\n")
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment cell ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "out").exists()
+
+    # GenSpec's class_ratio check is the one check on a ratio, from either key.
+    @pytest.mark.parametrize("command,config", [("generate", "gen.ratio = 1:5"),
+                                                ("experiment", "exp.ratios = 5:1,1:5")])
+    def test_more_minority_than_majority_parts_exit_2(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "class_ratio must be (majority_parts >= minority_parts >= 1)" in err
+        assert not (tmp_path / "out").exists()
+
+    # Each cell sets these GenSpec fields itself, so experiment refuses the
+    # keys rather than ignore them; generate, resample and eval still take them.
+    @pytest.mark.parametrize("key,value,owner", [
+        ("gen.n_samples", "5000", "the exp.sizes axis"),
+        ("gen.ratio", "2:1", "the exp.ratios axis"),
+        ("gen.disturbance_ratio", "0.9", "the exp.disturbances axis"),
+        ("gen.minority_subclusters", "5", "the exp.subclusters axis"),
+        ("gen.seed", "99", "exp.seed or --seed"),
+    ])
+    def test_grid_owned_gen_key_exit_2(self, tmp_path, capsys, key, value, owner):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\nexp.sizes = 60\nexp.repeats = 1\n")
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: experiment sets {key} per cell from {owner}\n"
         assert not (tmp_path / "out").exists()
 
     # A CSV has no generator spec to bound: sparsity bounds alpha by the span

@@ -15,8 +15,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 EXPECTED_KEYS = {
     "gen.n_samples", "gen.ratio", "gen.dims", "gen.minority_subclusters",
     "gen.majority_subclusters", "gen.sub_sigma", "gen.box",
-    "gen.min_center_separation", "gen.disturbance_ratio", "gen.rare_fraction",
-    "gen.safe_fraction", "gen.seed",
+    "gen.min_center_separation", "gen.disturbance_ratio", "gen.rare_fraction", "gen.seed",
     "exp.subclusters", "exp.sizes", "exp.ratios", "exp.disturbances",
     "exp.methods", "exp.classifiers", "exp.folds", "exp.repeats", "exp.seed",
     "knn.k", "tree.max_depth", "tree.min_leaf",
@@ -60,7 +59,11 @@ def test_readme_names_exactly_the_known_keys():
 
 @pytest.mark.parametrize("key,default", readme_key_table())
 def test_readme_default_is_the_code_default(key, default):
-    if default == "derived":
-        assert getattr(build_for(key, {}), key.split(".")[1]) is None
-    else:
-        assert build_for(key, {key: default}) == build_for(key, {})
+    assert build_for(key, {key: default}) == build_for(key, {})
+
+
+# The template is checked as cell 0, not at GenSpec's default n_samples = 400,
+# where 400 majority sub-clusters would not fit in 316 majority rows.
+def test_template_checked_at_the_first_cell():
+    spec = build_experiment_spec({"exp.sizes": "2000", "gen.majority_subclusters": "400"})
+    assert (spec.template.n_samples, spec.template.majority_subclusters) == (2000, 400)

@@ -136,13 +136,13 @@ class TestGenSpec:
 
     def test_composition_counts(self):
         spec = GenSpec(n_samples=800, class_ratio=(7, 1), seed=0,
-                       disturbance_ratio=0.5, rare_fraction=0.2, safe_fraction=0.3)
+                       disturbance_ratio=0.5, rare_fraction=0.2)
         assert spec.kind_counts() == (30, 50, 20)
 
     def test_fractions_over_one_rejected(self):
-        with pytest.raises(SkewbenchError, match="must equal 1"):
+        with pytest.raises(SkewbenchError, match="must not exceed 1"):
             GenSpec(n_samples=100, class_ratio=(4, 1), seed=0,
-                    disturbance_ratio=0.8, rare_fraction=0.3, safe_fraction=0.3)
+                    disturbance_ratio=0.8, rare_fraction=0.3)
 
     def test_minority_smaller_than_subclusters_rejected(self):
         with pytest.raises(SkewbenchError, match="minority count smaller"):
@@ -237,8 +237,7 @@ class TestLargestRemainder:
 class TestGenerateImbalanced:
     def test_pipeline_counts_and_tags(self):
         spec = GenSpec(n_samples=800, class_ratio=(7, 1), seed=3,
-                       minority_subclusters=3, disturbance_ratio=0.5,
-                       rare_fraction=0.2, safe_fraction=0.3)
+                       minority_subclusters=3, disturbance_ratio=0.5, rare_fraction=0.2)
         ds, _ = generate_imbalanced(spec)
         assert ds.n == 800
         assert np.sum(ds.labels == 0) == 700

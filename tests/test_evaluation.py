@@ -328,7 +328,6 @@ def fold_dataset():
 class TestEvaluateFolds:
     def test_resampling_never_touches_test_rows(self, monkeypatch):
         ds, gt = fold_dataset()
-        minority = summarize(ds).minority_label
         fold = stratified_kfold(ds, 3, seed=5)
         seen: list[int] = []
         original = resample.random_oversample
@@ -340,7 +339,7 @@ class TestEvaluateFolds:
 
         monkeypatch.setattr(resample, "random_oversample", spy)
         evaluate_folds(ds, fold, (RO(),), (KnnClassifier(),), RngSeed(1),
-                       minority, subclusters_full=gt.subcluster_assignment)
+                       subclusters_full=gt.subcluster_assignment)
         assert len(seen) == 3
         assert all(n == 120 for n in seen)
 
@@ -373,8 +372,7 @@ class TestDispatch:
         method = config() if config in METHODS else Base()
         clf = config() if config in CLASSIFIERS else KnnClassifier()
         evaluate_folds(ds, stratified_kfold(ds, 3, seed=5), (method,), (clf,),
-                       RngSeed(1), summarize(ds).minority_label,
-                       subclusters_full=gt.subcluster_assignment)
+                       RngSeed(1), subclusters_full=gt.subcluster_assignment)
         assert calls == Counter({name: 3 for name in REACHES[type(method)]
                                  + REACHES[type(clf)]})
 

@@ -106,8 +106,7 @@ class TestResampleInsideTrainingFoldOnly:
             ds = random_two_class(rng, n_min=int(rng.integers(folds + 3, 16)))
             assignment = stratified_kfold(ds, folds, seed=case)
             received.clear()
-            evaluate_folds(ds, assignment, (RO(),), (KnnClassifier(k=1),),
-                           RngSeed(case), minority=1)
+            evaluate_folds(ds, assignment, (RO(),), (KnnClassifier(k=1),), RngSeed(case))
             assert len(received) == folds
             for fold, train_points in enumerate(received):
                 expected = ds.points[assignment != fold]
