@@ -5,8 +5,11 @@ present. Both emit a minority-class score alongside the label so ROC areas
 can be computed. Vote and leaf ties resolve toward the majority class, which
 makes the baselines' bias against the minority explicit and reproducible.
 
-Each config in `CLASSIFIERS` runs itself with `fit_predict(train, minority,
-queries)`, calling fit and predict by their global names as `resample` does.
+Each config in `CLASSIFIERS` runs itself with `fit_predict_many(trains,
+minority, queries)`: one (labels, scores) pair per training set, predicted
+for that set's queries. Fit and predict are called by their global names, as
+`resample` does. The tree grows several training sets as one forest, one
+tree per set, so the sets share each level pass.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .core import Dataset, SkewbenchError, _frozen_array, _row_blocks, nearest
 
 
@@ -30,10 +34,11 @@ class KnnClassifier:
         if self.k < 1:
             raise SkewbenchError("knn k must be >= 1")
 
-    def fit_predict(self, train: Dataset, minority: int,
-                    queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        model = knn_fit(train, k=self.k, minority_label=minority)
-        return knn_predict_batch(model, queries)
+    def fit_predict_many(self, trains: list[Dataset], minority: int,
+                         queries: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        _check_pairs(trains, queries)
+        return [knn_predict_batch(knn_fit(train, k=self.k, minority_label=minority), q)
+                for train, q in zip(trains, queries)]
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,47 @@ class TreeClassifier:
         if self.min_leaf < 1:
             raise SkewbenchError("tree min_leaf must be >= 1")
 
-    def fit_predict(self, train: Dataset, minority: int,
-                    queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        model = tree_fit(train, max_depth=self.max_depth, min_leaf=self.min_leaf,
-                         minority_label=minority)
-        return tree_predict_batch(model, queries)
+    def fit_predict_many(self, trains: list[Dataset], minority: int,
+                         queries: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Fit consecutive sets of one dimension as one forest while its points
+        take at most `_BLOCK_BYTES // 16` bytes (4096 rows at d = 2), because
+        the split search holds about 25 temporaries the size of the forest. A
+        larger set is fit alone."""
+        _check_pairs(trains, queries)
+        queries = [np.atleast_2d(np.asarray(q, dtype=np.float64)) for q in queries]
+        out: list[tuple[np.ndarray, np.ndarray]] = []
+        start = 0
+        while start < len(trains):
+            d = trains[start].d
+            cap = core._BLOCK_BYTES // (16 * 8 * d)
+            stop, rows = start + 1, trains[start].n
+            while stop < len(trains) and trains[stop].d == d and rows + trains[stop].n <= cap:
+                rows += trains[stop].n
+                stop += 1
+            out += self._fit_forest(trains[start:stop], minority, queries[start:stop])
+            start = stop
+        return out
+
+    def _fit_forest(self, trains: list[Dataset], minority: int,
+                    queries: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One `tree_fit` and one `tree_predict_batch` call; tree t is fit on `trains[t]`."""
+        if any(q.shape[1] != trains[0].d for q in queries):
+            raise SkewbenchError("query dimension does not match training data")
+        ids = np.arange(len(trains))
+        forest = Dataset(np.concatenate([t.points for t in trains]),
+                         np.concatenate([t.labels for t in trains]))
+        model = tree_fit(forest, max_depth=self.max_depth, min_leaf=self.min_leaf,
+                         minority_label=minority, trees=np.repeat(ids, [t.n for t in trains]))
+        sizes = [len(q) for q in queries]
+        labels, scores = tree_predict_batch(model, np.concatenate(queries),
+                                            trees=np.repeat(ids, sizes))
+        cuts = np.cumsum(sizes)[:-1]
+        return list(zip(np.split(labels, cuts), np.split(scores, cuts)))
+
+
+def _check_pairs(trains: list[Dataset], queries: list[np.ndarray]) -> None:
+    if len(trains) != len(queries):
+        raise SkewbenchError(f"{len(trains)} training sets but {len(queries)} query arrays")
 
 
 ClassifierConfig = KnnClassifier | TreeClassifier
@@ -115,9 +156,12 @@ class TreeNode:
 
 @dataclass(frozen=True, eq=False)
 class TreeModel:
-    """A fitted tree as one array per node field, nodes numbered breadth-first.
+    """A fitted forest of `n_trees` trees as one array per node field.
 
-    Node 0 is the root. A leaf has feature, left and right -1 and threshold 0.
+    Nodes are numbered breadth-first, level by level across all trees, so node
+    t is tree t's root; a forest of one is a single tree rooted at node 0.
+    Within a level, each tree's nodes keep the order a tree fit alone gives
+    them. A leaf has feature, left and right -1 and threshold 0.
     """
 
     feature: np.ndarray
@@ -129,6 +173,7 @@ class TreeModel:
     minority_label: int
     majority_label: int
     n_features: int
+    n_trees: int = 1
 
     def __post_init__(self) -> None:
         for name in ("feature", "left", "right", "minority_count", "majority_count"):
@@ -209,10 +254,25 @@ def _level_splits(points: np.ndarray, is_min: np.ndarray, sorted_rows: np.ndarra
             threshold[at] = (values[best] + values[best + 1]) / 2.0
 
 
+def _tree_ids(trees, count: int) -> np.ndarray:
+    """`trees` as an intp array of tree ids, one per row of `count` rows."""
+    ids = np.asarray(trees)
+    if ids.shape != (count,) or (count and ids.dtype.kind not in "iu"):
+        raise SkewbenchError(f"tree ids must be {count} integers, one per row")
+    return ids.astype(np.intp)
+
+
 def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
-             min_leaf: int = TreeClassifier.min_leaf, *, minority_label: int) -> TreeModel:
+             min_leaf: int = TreeClassifier.min_leaf, *, minority_label: int,
+             trees=None) -> TreeModel:
     """Greedy binary CART growth on Gini impurity, one depth level at a time,
     with the rows labelled `minority_label` as the minority.
+
+    `trees` gives each row a tree id, and ids 0 to T-1 each need a row; the
+    default puts every row in tree 0. Each tree grows on its own rows and
+    comes out node for node as if fit alone, but all trees share each level
+    pass. The forest has one majority label, the other label present in any
+    of its trees.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     feature values. A node splits whenever a candidate satisfies min_leaf on
@@ -225,6 +285,10 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
     TreeClassifier(max_depth=max_depth, min_leaf=min_leaf)  # parameter validation
     if ds.n == 0:
         raise SkewbenchError("cannot fit a tree on an empty dataset")
+    # Node of each row within its level, starting at its tree's root.
+    node = np.zeros(ds.n, dtype=np.intp) if trees is None else _tree_ids(trees, ds.n)
+    if node.min() < 0 or not (size := np.bincount(node)).all():
+        raise SkewbenchError("tree ids must run from 0 with at least one row each")
     majority = _majority_label(ds, minority_label)
     is_min = ds.labels == minority_label
     points = ds.points
@@ -232,9 +296,8 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
     # Each feature's rows sorted once; a node's rows keep this order.
     sorted_rows = np.argsort(points.T, axis=1, kind="stable")
     rows = np.arange(ds.n)  # rows in the nodes of the current level
-    node = np.zeros(ds.n, dtype=np.intp)  # node of each such row within its level
-    size = np.array([ds.n])
-    count_min = np.array([np.count_nonzero(is_min)])
+    count_min = np.bincount(node[is_min], minlength=len(size))
+    n_trees = len(size)
     levels = []
     depth = n_nodes = 0
     while True:
@@ -272,15 +335,20 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
     return TreeModel(feature=feature, threshold=threshold, left=left,
                      right=np.where(left < 0, -1, left + 1), minority_count=count_min,
                      majority_count=size - count_min, minority_label=minority_label,
-                     majority_label=majority, n_features=ds.d)
+                     majority_label=majority, n_features=ds.d, n_trees=n_trees)
 
 
-def tree_predict_batch(model: TreeModel, queries) -> tuple[np.ndarray, np.ndarray]:
+def tree_predict_batch(model: TreeModel, queries, trees=None) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, minority scores), each query routed by the tree that `trees`
+    names for it; the default routes every query by tree 0."""
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if q.shape[1] != model.n_features:
         raise SkewbenchError("query dimension does not match training data")
-    # All queries descend together, one level per pass, until each is at a leaf.
-    at = np.zeros(len(q), dtype=np.intp)
+    # All queries descend together from their tree's root, one level per pass,
+    # until each is at a leaf.
+    at = np.zeros(len(q), dtype=np.intp) if trees is None else _tree_ids(trees, len(q))
+    if len(at) and (at.min() < 0 or at.max() >= model.n_trees):
+        raise SkewbenchError(f"tree id outside 0..{model.n_trees - 1}")
     todo = np.flatnonzero(model.left[at] >= 0)
     while len(todo):
         node = at[todo]

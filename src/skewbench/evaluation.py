@@ -133,31 +133,39 @@ def evaluate_folds(ds: Dataset, fold_assignment: np.ndarray,
                    ) -> dict[tuple[str, str], list[Metrics]]:
     """One CV pass: resample each training fold, evaluate on the raw test fold.
 
+    Every fold's split is built once. Then, one method at a time, every
+    training fold is resampled from its own (method, fold) stream, each
+    classifier gets all of those sets in one `fit_predict_many` call, and the
+    folds are scored in fold order. So only one method's resampled sets are
+    held at once, and the first failure raised is that of the first failing
+    method: a failure of the resampler on any fold before one of a classifier.
     The minority label comes from the class counts of `ds`, once for all folds.
     `subclusters_full` optionally carries per-row sub-cluster ids (ground
     truth) for cluster-aware methods; only the minority entries are used.
     """
     minority = summarize(ds).minority_label
-    folds = int(fold_assignment.max()) + 1
-    results: dict[tuple[str, str], list[Metrics]] = {
-        (m.name, c.name): [] for m in methods for c in classifiers}
-    for fold in range(folds):
+    folds = range(int(fold_assignment.max()) + 1)
+    trains, clusters, test_points, test_labels = [], [], [], []
+    for fold in folds:
         train_rows = np.flatnonzero(fold_assignment != fold)
         test_rows = np.flatnonzero(fold_assignment == fold)
-        train = ds.subset(train_rows)
-        test_points = ds.points[test_rows]
-        test_labels = ds.labels[test_rows]
-        minority_clusters = None
-        if subclusters_full is not None:
-            minority_clusters = subclusters_full[train_rows][train.labels == minority]
-        for m_index, method in enumerate(methods):
-            rng = seed.child("method", m_index).child("fold", fold).generator()
-            resampled = method.apply(train, rng, minority_clusters=minority_clusters)
-            for clf in classifiers:
-                pred, scores = clf.fit_predict(resampled, minority, test_points)
-                metrics = metrics_from(confusion(test_labels, pred, minority))
-                metrics = replace(metrics, auc=auc(scores, test_labels, minority))
-                results[(method.name, clf.name)].append(metrics)
+        trains.append(ds.subset(train_rows))
+        test_points.append(ds.points[test_rows])
+        test_labels.append(ds.labels[test_rows])
+        clusters.append(None if subclusters_full is None else
+                        subclusters_full[train_rows][trains[-1].labels == minority])
+    results: dict[tuple[str, str], list[Metrics]] = {
+        (m.name, c.name): [] for m in methods for c in classifiers}
+    for m_index, method in enumerate(methods):
+        resampled = [method.apply(trains[fold],
+                                  seed.child("method", m_index).child("fold", fold).generator(),
+                                  minority_clusters=clusters[fold]) for fold in folds]
+        for clf in classifiers:
+            outputs = clf.fit_predict_many(resampled, minority, test_points)
+            results[(method.name, clf.name)].extend(
+                replace(metrics_from(confusion(truth, pred, minority)),
+                        auc=auc(scores, truth, minority))
+                for (pred, scores), truth in zip(outputs, test_labels))
     return results
 
 

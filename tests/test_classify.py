@@ -5,7 +5,9 @@ import pytest
 
 import reference_tree as reference
 from skewbench import core
-from skewbench.classify import knn_fit, knn_predict_batch, tree_fit, tree_predict_batch
+from skewbench import classify
+from skewbench.classify import (TreeClassifier, knn_fit, knn_predict_batch, tree_fit,
+                                tree_predict_batch)
 from skewbench.core import Dataset, RngSeed, SkewbenchError, summarize
 
 
@@ -254,12 +256,13 @@ def node_rows(model):
     return [tuple(getattr(node, f) for f in FIELDS) for node in model.nodes]
 
 
-def preorder(nodes):
-    """(depth, feature, threshold bits, minority, majority) per node, root first.
+def preorder(nodes, root=0):
+    """(depth, feature, threshold bits, minority, majority) per node of the
+    tree at `root`, root first.
 
     `nodes` holds (feature, threshold, left, right, minority, majority) rows.
     """
-    out, todo = [], [(0, 0)]
+    out, todo = [], [(root, 0)]
     while todo:
         index, depth = todo.pop()
         feature, threshold, left, right, m, mj = nodes[index]
@@ -337,6 +340,127 @@ class TestReferenceOracle:
         pts, _ = oracle_data("random", 2)
         assert_matches_reference(Dataset(pts, np.zeros(len(pts), dtype=int)), 12, 1,
                                  minority_label)
+
+
+def forest_sets(kind, dims, seed):
+    """Sets of one forest: three of `kind` at different sizes, then a
+    single-class set (labels 0) and a one-row set (label 1)."""
+    sets = [Dataset(*oracle_data(kind, dims, 10 * seed + i, n))
+            for i, n in enumerate((90, 24, 130))]
+    pts, _ = oracle_data(kind, dims, 10 * seed + 3, 30)
+    sets.append(Dataset(pts, np.zeros(len(pts), dtype=int)))
+    sets.append(Dataset(pts[:1], [1]))
+    return sets
+
+
+def stack(arrays):
+    """The arrays stacked, and the index of the array each row came from."""
+    return np.concatenate(arrays), np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
+
+
+class TestForest:
+    """Trees fit together as one forest, each against its own fit and the reference."""
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("max_depth", [0, 5, 12])
+    @pytest.mark.parametrize("dims", [1, 2, 9])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "adjacent"])
+    def test_each_tree_bits_equal_its_own_fit(self, monkeypatch, kind, dims, max_depth, block):
+        sets = forest_sets(kind, dims, seed=dims + max_depth)
+        points, trees = stack([ds.points for ds in sets])
+        forest = Dataset(points, np.concatenate([ds.labels for ds in sets]))
+        if block is not None:  # blocks of one feature
+            monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * forest.n)
+        for min_leaf, minority_label in ((1, 1), (2, 0), (3, 1)):
+            model = tree_fit(forest, max_depth, min_leaf, minority_label=minority_label,
+                             trees=trees)
+            assert model.n_trees == len(sets)
+            alone = [tree_fit(ds, max_depth, min_leaf, minority_label=minority_label)
+                     for ds in sets]
+            # Queries on every threshold of a tree exercise the <= routing of predict.
+            queries = [np.vstack([ds.points, np.tile(a.threshold[a.left >= 0][:, None],
+                                                     (1, dims)), ds.points[::-1] + 0.25])
+                       for ds, a in zip(sets, alone)]
+            stacked, q_trees = stack(queries)
+            labels, scores = tree_predict_batch(model, stacked, trees=q_trees)
+            assert sum(len(a.feature) for a in alone) == len(model.feature)
+            for t, (ds, a, q) in enumerate(zip(sets, alone, queries)):
+                nodes = reference.tree_fit(ds.points, ds.labels == minority_label,
+                                           max_depth, min_leaf)
+                assert preorder(node_rows(model), root=t) == preorder(node_rows(a))
+                assert preorder(node_rows(a)) == preorder(nodes)
+                want_labels, want_scores = reference.tree_predict(nodes, q, minority_label,
+                                                                  a.majority_label)
+                got = q_trees == t
+                assert np.array_equal(labels[got], want_labels)
+                assert np.array_equal(scores[got].view(np.uint64), want_scores.view(np.uint64))
+
+    def test_refusals(self):
+        ds = ds_of([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        with pytest.raises(SkewbenchError, match="at least one row each"):
+            tree_fit(ds, minority_label=1, trees=[0, 0, 2, 2])  # tree 1 is empty
+        with pytest.raises(SkewbenchError, match="at least one row each"):
+            tree_fit(ds, minority_label=1, trees=[0, -1, 0, 0])
+        with pytest.raises(SkewbenchError, match="one per row"):
+            tree_fit(ds, minority_label=1, trees=[0, 0, 1])
+        with pytest.raises(SkewbenchError, match="one per row"):
+            tree_fit(ds, minority_label=1, trees=[0.0, 0.0, 1.0, 1.0])
+        model = tree_fit(ds, min_leaf=1, minority_label=1, trees=[0, 0, 1, 1])
+        with pytest.raises(SkewbenchError, match=r"tree id outside 0\.\.1"):
+            tree_predict_batch(model, [[0.0], [1.0]], trees=[0, 2])
+        with pytest.raises(SkewbenchError, match=r"tree id outside 0\.\.1"):
+            tree_predict_batch(model, [[0.0]], trees=[-1])
+        with pytest.raises(SkewbenchError, match="one per row"):
+            tree_predict_batch(model, [[0.0], [1.0]], trees=[0])
+        with pytest.raises(SkewbenchError, match="2 training sets but 1 query arrays"):
+            TreeClassifier().fit_predict_many([ds, ds], 1, [ds.points])
+
+
+def random_sets(count, rows, seed=0):
+    rng = np.random.default_rng(seed)
+    return [Dataset(rng.normal(size=(rows, 2)), (rng.random(rows) < 0.2).astype(int))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("rows, fits", [(480, 1), (3200, 5)])
+def test_fit_predict_many_forests(monkeypatch, rows, fits):
+    # Consecutive sets share a forest while it holds at most 4096 rows at d = 2.
+    sets = random_sets(5, rows)
+    queries = [ds.points[::7] + 0.01 for ds in sets]
+    calls = []
+    original = classify.tree_fit
+
+    def counted(ds, *args, **kwargs):
+        calls.append(ds.n)
+        return original(ds, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "tree_fit", counted)
+    got = TreeClassifier().fit_predict_many(sets, 1, queries)
+    assert len(calls) == fits and sum(calls) == 5 * rows
+    for ds, q, (labels, scores) in zip(sets, queries, got):
+        want_labels, want_scores = tree_predict_batch(original(ds, minority_label=1), q)
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(scores.view(np.uint64), want_scores.view(np.uint64))
+
+
+def test_fit_predict_many_peak_memory_is_one_fit():
+    # Sets above the forest cap (here the size of cli_large's CO folds) are
+    # fit one at a time, so five of them peak like one.
+    sets = random_sets(5, 5600, seed=1)
+    queries = [ds.points[:800] for ds in sets]
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tree_fit(sets[0], minority_label=1)  # the first call's one-off allocations
+    one = peak(lambda: tree_fit(sets[0], minority_label=1))
+    many = peak(lambda: TreeClassifier().fit_predict_many(sets, 1, queries))
+    assert many <= 1.25 * one
 
 
 def test_deep_chain_fits_without_recursion():

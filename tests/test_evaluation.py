@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -254,10 +255,10 @@ class TestRunExperiment:
             assert row.n_evals == 0
 
     def test_matches_independent_pipeline_replication(self):
-        # Re-derive every seed and replicate the fold loop by hand; the runner
-        # must produce identical numbers, which also proves the test folds
-        # stay untouched by resampling.
-        spec = small_spec(methods=(Base(), RO(), NCR()), repeats=1,
+        # Re-derive every seed and replicate the fold loop by hand, one fit per
+        # fold; the runner must produce the same bits, which also proves the
+        # test folds stay untouched by resampling.
+        spec = small_spec(methods=tuple(method() for method in METHODS), repeats=1,
                           classifiers=(KnnClassifier(k=3), TreeClassifier()))
         report = run_experiment(spec)
         cell = spec.cells()[0]
@@ -299,12 +300,13 @@ class TestRunExperiment:
                     per_fold.append((m.sensitivity, m.specificity, m.accuracy,
                                      m.gmean, auc(scores, ds.labels[test_rows],
                                                   minority)))
-                arr = np.array(per_fold)
                 row = report.row(cell, method.name, clf.name)
+                assert row.n_evals == spec.folds
                 for col, metric in enumerate(("sensitivity", "specificity",
                                               "accuracy", "gmean", "auc")):
-                    assert row.means[metric] == pytest.approx(arr[:, col].mean(),
-                                                              abs=1e-12)
+                    values = np.array([scores[col] for scores in per_fold])
+                    assert row.means[metric] == values.mean(), (method.name, clf.name)
+                    assert row.stds[metric] == values.std(), (method.name, clf.name)
 
     def test_csv_and_pivot_shapes(self):
         spec = small_spec(subclusters=(2, 3), sizes=(120, 180))
@@ -344,6 +346,33 @@ class TestEvaluateFolds:
         assert all(n == 120 for n in seen)
 
 
+    def test_first_failing_method_is_the_one_raised(self):
+        # Each method runs on every fold before the next method starts, so a
+        # failure on the last fold of the first method is raised ahead of one
+        # on fold 0 of a later method.
+        ds, _ = fold_dataset()
+        fold = stratified_kfold(ds, 4, seed=5)
+        first = FailsOnFold("first", ds.points[fold == 3][0])
+        later = FailsOnFold("later", ds.points[fold == 0][0])
+        with pytest.raises(SkewbenchError, match="^first fails on its test fold$"):
+            evaluate_folds(ds, fold, (Base(), first, later), (KnnClassifier(),), RngSeed(1))
+        with pytest.raises(SkewbenchError, match="^later fails on its test fold$"):
+            evaluate_folds(ds, fold, (later, first), (KnnClassifier(),), RngSeed(1))
+
+
+@dataclass(frozen=True, eq=False)
+class FailsOnFold:
+    """A method that fails on the fold whose test rows hold `point`."""
+
+    name: str
+    point: np.ndarray
+
+    def apply(self, train, rng, minority_clusters=None):
+        if not (train.points == self.point).all(axis=1).any():
+            raise SkewbenchError(f"{self.name} fails on its test fold")
+        return train
+
+
 # The module functions each config reaches through its module's global name.
 # Wrappers bound to those names (as perfbench's tracer binds them) must see
 # every call; Base reaches none, since it returns its input.
@@ -357,10 +386,15 @@ class TestDispatch:
     @pytest.mark.parametrize("config", METHODS + CLASSIFIERS, ids=lambda c: c.name)
     def test_evaluate_folds_reaches_the_module_function(self, monkeypatch, config):
         calls: Counter[str] = Counter()
+        tree_rows: list[tuple[str, np.ndarray]] = []  # points of every tree call
 
         def counting(name, original):
             def counted(*args, **kwargs):
                 calls[name] += 1
+                if name == "tree_fit":
+                    tree_rows.append(("fit", args[0].points))
+                elif name == "tree_predict_batch":
+                    tree_rows.append(("predict", np.asarray(args[1])))
                 return original(*args, **kwargs)
             return counted
 
@@ -371,10 +405,20 @@ class TestDispatch:
         ds, gt = fold_dataset()
         method = config() if config in METHODS else Base()
         clf = config() if config in CLASSIFIERS else KnnClassifier()
-        evaluate_folds(ds, stratified_kfold(ds, 3, seed=5), (method,), (clf,),
+        fold = stratified_kfold(ds, 3, seed=5)
+        evaluate_folds(ds, fold, (method,), (clf,),
                        RngSeed(1), subclusters_full=gt.subcluster_assignment)
-        assert calls == Counter({name: 3 for name in REACHES[type(method)]
-                                 + REACHES[type(clf)]})
+        if config is not TreeClassifier:
+            assert calls == Counter({name: 3 for name in REACHES[type(method)]
+                                     + REACHES[type(clf)]})
+            return
+        # The tree fits the three training folds as forests: their rows reach
+        # tree_fit in fold order, and every test row is predicted once.
+        assert set(calls) == {"tree_fit", "tree_predict_batch"}
+        fitted = np.concatenate([rows for kind, rows in tree_rows if kind == "fit"])
+        queried = np.concatenate([rows for kind, rows in tree_rows if kind == "predict"])
+        assert np.array_equal(fitted, np.concatenate([ds.points[fold != f] for f in range(3)]))
+        assert np.array_equal(queried, np.concatenate([ds.points[fold == f] for f in range(3)]))
 
     def test_run_experiment_calls_run_unit_by_its_global_name(self, monkeypatch):
         units: list[tuple[int, int]] = []
