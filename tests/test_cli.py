@@ -1,15 +1,16 @@
 import contextlib
 import io
+import platform
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbench.cli import main
+from skewbench.cli import _keep_freed_heap, main
 from skewbench.config import (KNOWN_KEYS, ConfigError, load_config,
                               parse_config_text)
-from skewbench.core import Dataset, ExampleKind, SkewbenchError
+from skewbench.core import _BLOCK_BYTES, Dataset, ExampleKind, SkewbenchError
 from skewbench.datagen import GenSpec, generate_imbalanced
 from skewbench.io import (dataset_to_csv_text, read_dataset_csv,
                           write_dataset_csv)
@@ -243,6 +244,21 @@ class TestExperimentCommand:
         assert progress == [
             "cell 1/2 finished (subclusters=1 size=60 ratio=5:1 disturbance=0)",
             "cell 2/2 finished (subclusters=2 size=60 ratio=5:1 disturbance=0)"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_freed_blocks_are_reused_without_page_faults():
+    # With glibc's defaults each pair of blocks faults its 2 * 256 pages in
+    # again (about 24000 faults over the loop); kept in the heap, only the
+    # first pair's pages fault.
+    import resource  # Unix only
+    _keep_freed_heap()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        blocks = [np.ones(_BLOCK_BYTES // 8) for _ in range(2)]
+        del blocks
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 4 * _BLOCK_BYTES // resource.getpagesize()
 
 
 class TestPlotCommand:
