@@ -7,9 +7,10 @@ makes the baselines' bias against the minority explicit and reproducible.
 
 Each config in `CLASSIFIERS` runs itself with `fit_predict_many(trains,
 minority, queries)`: one (labels, scores) pair per training set, predicted
-for that set's queries. Fit and predict are called by their global names, as
-`resample` does. The tree grows several training sets as one forest, one
-tree per set, so the sets share each level pass.
+for that set's queries, a dataset or an array of rows. Fit and predict are
+called by their global names, as `resample` does. The tree grows several
+training sets as one forest, one tree per set, so the sets share each level
+pass.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class KnnClassifier:
             raise SkewbenchError("knn k must be >= 1")
 
     def fit_predict_many(self, trains: list[Dataset], minority: int,
-                         queries: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+                         queries: list[Dataset | np.ndarray],
+                         ) -> list[tuple[np.ndarray, np.ndarray]]:
         _check_pairs(trains, queries)
         return [knn_predict_batch(knn_fit(train, k=self.k, minority_label=minority), q)
                 for train, q in zip(trains, queries)]
@@ -56,13 +58,14 @@ class TreeClassifier:
             raise SkewbenchError("tree min_leaf must be >= 1")
 
     def fit_predict_many(self, trains: list[Dataset], minority: int,
-                         queries: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+                         queries: list[Dataset | np.ndarray],
+                         ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Fit consecutive sets of one dimension as one forest while its points
         take at most `_BLOCK_BYTES // 16` bytes (4096 rows at d = 2), because
         the split search holds about 25 temporaries the size of the forest. A
         larger set is fit alone."""
         _check_pairs(trains, queries)
-        queries = [np.atleast_2d(np.asarray(q, dtype=np.float64)) for q in queries]
+        queries = [_points(q) for q in queries]
         out: list[tuple[np.ndarray, np.ndarray]] = []
         start = 0
         while start < len(trains):
@@ -93,9 +96,16 @@ class TreeClassifier:
         return list(zip(np.split(labels, cuts), np.split(scores, cuts)))
 
 
-def _check_pairs(trains: list[Dataset], queries: list[np.ndarray]) -> None:
+def _check_pairs(trains: list[Dataset], queries: list[Dataset | np.ndarray]) -> None:
     if len(trains) != len(queries):
         raise SkewbenchError(f"{len(trains)} training sets but {len(queries)} query arrays")
+
+
+def _points(queries) -> np.ndarray:
+    """The query points of a dataset or of an array-like of rows."""
+    if isinstance(queries, Dataset):
+        return queries.points
+    return np.atleast_2d(np.asarray(queries, dtype=np.float64))
 
 
 ClassifierConfig = KnnClassifier | TreeClassifier
@@ -132,12 +142,28 @@ def knn_fit(ds: Dataset, k: int = KnnClassifier.k, *, minority_label: int) -> Kn
 
 
 def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized prediction; returns (labels, minority-score per query)."""
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if q.shape[1] != model.train.d:
+    """Vectorized prediction; returns (labels, minority-score per query).
+
+    Queries given as a dataset that shares the training set's neighbour table
+    take their votes from the table where it settles them, the rest from
+    `nearest`: the same votes either way.
+    """
+    q = _points(queries)
+    train = model.train
+    if q.shape[1] != train.d:
         raise SkewbenchError("query dimension does not match training data")
-    order = nearest(model.train.points, q, model.k)
-    votes = (model.train.labels[order] == model.minority_label).sum(axis=1)
+    is_min = train.labels == model.minority_label
+    votes = np.empty(len(q), dtype=np.int64)
+    rest = np.arange(len(q))
+    table = queries.table if isinstance(queries, Dataset) else None
+    if table is not None and table is train.table:
+        taken, settled = table.take(train.rows, queries.rows, model.k)
+        row_min = np.zeros(len(table.index), dtype=np.int32)
+        row_min[train.rows] = is_min
+        votes[settled] = (taken * row_min[table.index[queries.rows]])[settled].sum(axis=1)
+        rest = np.flatnonzero(~settled)
+    if len(rest):
+        votes[rest] = is_min[nearest(train.points, q[rest], model.k)].sum(axis=1)
     labels = np.where(votes * 2 > model.k, model.minority_label, model.majority_label)
     return labels.astype(np.int64), votes / model.k
 

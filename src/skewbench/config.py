@@ -148,11 +148,22 @@ def _construct(cls, values: dict):
 
 
 def build_gen_spec(cfg: dict[str, str], seed: int | None = None, **cell) -> GenSpec:
+    """The GenSpec that `cfg` sets, with `cell`'s fields set by an experiment cell.
+
+    A refusal names the config key of each field whose key is not its name,
+    unless the cell set that field.
+    """
     values = _values(GenSpec, cfg, _gen_key, {"class_ratio": _parse_ratio,
                                               "center_box": _parse_box})
     if seed is not None:
         values["seed"] = seed
-    return _construct(GenSpec, values | cell)
+    try:
+        return GenSpec(**values | cell)
+    except SkewbenchError as exc:
+        message = str(exc)
+        for name in _GEN_KEYS.keys() - cell.keys():
+            message = message.replace(name, _gen_key(name))
+        raise ConfigError(message) from None
 
 
 def _build(classes, what: str, name: str, cfg: dict[str, str]):

@@ -51,11 +51,18 @@ class Dataset:
 
     Immutable after construction; the backing arrays are marked read-only so
     folds, resamplers and classifiers can share an instance without copying it.
+
+    A dataset made of copied rows of one point set may carry that set's
+    `NeighbourTable` and, in `rows`, the table row each of its rows copies.
+    `with_neighbour_table` attaches a table over a dataset's own rows, and
+    `subset` keeps the table, so every subset finds its neighbours there.
     """
 
     points: np.ndarray
     labels: np.ndarray
     kinds: np.ndarray | None = None
+    table: "NeighbourTable | None" = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         points = np.array(self.points, dtype=np.float64)
@@ -77,6 +84,13 @@ class Dataset:
             if len(kinds) and kinds.max() > max(ExampleKind):
                 raise SkewbenchError("kinds contain values outside the ExampleKind range")
             object.__setattr__(self, "kinds", _frozen_array(kinds, np.uint8))
+        if (self.table is None) != (self.rows is None):
+            raise SkewbenchError("a neighbour table needs the table row of every row")
+        if self.table is not None:
+            rows = np.array(self.rows, dtype=np.intp)
+            if rows.shape != labels.shape:
+                raise SkewbenchError("table rows must match the point count")
+            object.__setattr__(self, "rows", _frozen_array(rows, np.intp))
 
     @property
     def n(self) -> int:
@@ -90,7 +104,13 @@ class Dataset:
         """Dataset restricted to the given row indices, order preserved."""
         idx = np.asarray(indices)
         kinds = self.kinds[idx] if self.kinds is not None else None
-        return Dataset(self.points[idx], self.labels[idx], kinds)
+        rows = self.rows[idx] if self.rows is not None else None
+        return Dataset(self.points[idx], self.labels[idx], kinds, self.table, rows)
+
+    def with_neighbour_table(self) -> "Dataset":
+        """This dataset with a neighbour table over its own rows."""
+        return Dataset(self.points, self.labels, self.kinds,
+                       NeighbourTable.build(self.points), np.arange(self.n))
 
 
 @dataclass(frozen=True)
@@ -193,12 +213,87 @@ def _scan(points: np.ndarray, queries: np.ndarray, k: int,
           exclude: np.ndarray | None) -> np.ndarray:
     """`nearest` by a full scan: every query against every point, in row blocks."""
     out = np.empty((len(queries), k), dtype=np.intp)
+    for rows, _, top in _scan_blocks(points, queries, k, exclude):
+        out[rows] = top
+    return out
+
+
+def _scan_blocks(points: np.ndarray, queries: np.ndarray, k: int,
+                 exclude: np.ndarray | None):
+    """(query rows, squared distances, `_topk` columns) per row block of `queries`."""
     for rows in _row_blocks(len(queries), points):
         sq = pairwise_sq(queries[rows], points)
         if exclude is not None:
             sq[np.arange(len(sq)), exclude[rows]] = np.inf
-        out[rows] = _topk(sq, k)
-    return out
+        yield rows, sq, _topk(sq, k)
+
+
+# Width of a neighbour table. A query the table cannot settle costs a
+# `nearest` call. Of the 128000 NCR and k-NN queries of one `overlap_study`
+# experiment (n = 800, ncr.k = 9, knn.k = 3, seed 42), 63 fall back at 24
+# and 1236 at 16.
+TABLE_K = 24
+
+
+@dataclass(frozen=True, eq=False)
+class NeighbourTable:
+    """Every row's TABLE_K nearest other rows of one point set, self excluded,
+    ranked as `nearest` ranks them: by squared distance, then by row.
+
+    `index` holds the rows, in the smallest integer type that holds a row
+    number, and `sq` their squared distances, one table row per point, taken
+    from the same `pairwise_sq` blocks that rank them.
+    """
+
+    index: np.ndarray
+    sq: np.ndarray
+
+    @classmethod
+    def build(cls, points: np.ndarray) -> "NeighbourTable":
+        width = max(0, min(TABLE_K, len(points) - 1))
+        index = np.empty((len(points), width), dtype=np.min_scalar_type(len(points)))
+        sq = np.empty((len(points), width))
+        if width:
+            for rows, block, top in _scan_blocks(points, points, width, np.arange(len(points))):
+                index[rows] = top
+                sq[rows] = np.take_along_axis(block, top, axis=1)
+        return cls(index, sq)
+
+    def take(self, rows: np.ndarray, queries: np.ndarray, k: int,
+             members: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(taken, settled) for the k nearest, in a set of table rows, of each query.
+
+        `rows` lists the table row that each row of the set copies, and each
+        query is a table row. `taken[i, j]` counts the copies of table entry
+        `index[queries[i], j]` among query i's k nearest set rows. A query
+        that is a set row once with `members` (its own row excluded, as NCR's
+        vote excludes it), or not a set row at all without, is settled when
+        one of these holds:
+        - The set holds distinct rows in ascending order: its k nearest are
+          the first k table entries that belong to it, because a set row
+          outside the table ranks after every entry, and set order is table
+          order among tied rows.
+        - Any other set: the entry that completes k is the only set row at
+          its distance, and the table's last entry lies farther away. Then
+          every set row nearer is taken, whatever the order of tied rows, and
+          the rest are copies of that one row.
+        A query not settled needs `nearest` on the set itself.
+        """
+        # 32-bit counts halve the query x width temporaries.
+        counts = np.bincount(rows, minlength=len(self.index)).astype(np.int32)
+        entries = self.index[queries]
+        have = counts[entries]
+        before = np.cumsum(have, axis=1, dtype=np.int32) - have
+        taken = np.clip(k - before, 0, have)
+        settled = (taken.sum(axis=1) == k) & (counts[queries] == members)
+        at = np.flatnonzero(settled)
+        if len(at) and not np.all(rows[1:] > rows[:-1]):
+            sq = self.sq[queries[at]]
+            last = taken.shape[1] - 1 - np.argmax(taken[at, ::-1] > 0, axis=1)
+            boundary = sq[np.arange(len(at)), last]
+            alone = ((sq == boundary[:, None]) & (have[at] > 0)).sum(axis=1) == 1
+            settled[at] = alone & (sq[:, -1] > boundary)
+        return taken, settled
 
 
 def _box_sq_finite(points: np.ndarray, queries: np.ndarray) -> bool:

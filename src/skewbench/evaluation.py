@@ -19,7 +19,7 @@ import numpy as np
 from .classify import ClassifierConfig, KnnClassifier, TreeClassifier
 from .core import ConfigError, Dataset, RngSeed, SkewbenchError, as_seed, summarize
 from .datagen import GenSpec, generate_imbalanced
-from .resample import Base, MethodConfig, check_spread
+from .resample import CO, NCR, RO, Base, MethodConfig, check_spread
 
 METRIC_NAMES = ("sensitivity", "specificity", "accuracy", "gmean", "auc")
 
@@ -142,16 +142,22 @@ def evaluate_folds(ds: Dataset, fold_assignment: np.ndarray,
     The minority label comes from the class counts of `ds`, once for all folds.
     `subclusters_full` optionally carries per-row sub-cluster ids (ground
     truth) for cluster-aware methods; only the minority entries are used.
+
+    Where `_shares_table` says so, `ds` gets one neighbour table, which every
+    fold's training and test rows carry: NCR and the k-NN vote find their
+    neighbours there.
     """
+    _check_distinct(methods, classifiers)
     minority = summarize(ds).minority_label
+    if _shares_table(methods, classifiers):
+        ds = ds.with_neighbour_table()
     folds = range(int(fold_assignment.max()) + 1)
-    trains, clusters, test_points, test_labels = [], [], [], []
+    trains, clusters, tests = [], [], []
     for fold in folds:
         train_rows = np.flatnonzero(fold_assignment != fold)
         test_rows = np.flatnonzero(fold_assignment == fold)
         trains.append(ds.subset(train_rows))
-        test_points.append(ds.points[test_rows])
-        test_labels.append(ds.labels[test_rows])
+        tests.append(ds.subset(test_rows))
         clusters.append(None if subclusters_full is None else
                         subclusters_full[train_rows][trains[-1].labels == minority])
     results: dict[tuple[str, str], list[Metrics]] = {
@@ -161,12 +167,37 @@ def evaluate_folds(ds: Dataset, fold_assignment: np.ndarray,
                                   seed.child("method", m_index).child("fold", fold).generator(),
                                   minority_clusters=clusters[fold]) for fold in folds]
         for clf in classifiers:
-            outputs = clf.fit_predict_many(resampled, minority, test_points)
+            outputs = clf.fit_predict_many(resampled, minority, tests)
             results[(method.name, clf.name)].extend(
                 replace(metrics_from(confusion(truth, pred, minority)),
                         auc=auc(scores, truth, minority))
-                for (pred, scores), truth in zip(outputs, test_labels))
+                for (pred, scores), truth in zip(outputs, (t.labels for t in tests)))
     return results
+
+
+def _check_distinct(methods: tuple[MethodConfig, ...],
+                   classifiers: tuple[ClassifierConfig, ...]) -> None:
+    """Refuse a method or classifier named twice: results are kept by name."""
+    for what, configs in (("method", methods), ("classifier", classifiers)):
+        names = [config.name for config in configs]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"{what} {name!r} is listed twice")
+
+
+def _shares_table(methods: tuple[MethodConfig, ...],
+                 classifiers: tuple[ClassifierConfig, ...]) -> bool:
+    """Whether a unit's folds pay for one neighbour table over all its rows.
+
+    NCR takes a k-NN vote on every training fold, and the k-NN classifier on
+    every set that base, RO, CO and NCR make of copied rows; SMOTE and
+    Sparsity make new points. The table costs about n^2 pairs, and k-NN
+    predict on one such method about 0.8 n^2 over its folds, so one k-NN
+    method alone keeps `nearest`.
+    """
+    copied = sum(isinstance(m, (Base, RO, CO, NCR)) for m in methods)
+    knn = any(isinstance(c, KnnClassifier) for c in classifiers)
+    return any(isinstance(m, NCR) for m in methods) or (knn and copied >= 2)
 
 
 @dataclass(frozen=True)
@@ -214,6 +245,7 @@ class ExperimentSpec:
             raise SkewbenchError("repeats must be >= 1")
         if self.folds < 2:
             raise SkewbenchError("folds must be >= 2")
+        _check_distinct(self.methods, self.classifiers)
         for method in self.methods:
             check_spread(method, self.template.span(), self.template.dims)
         for cell in self.cells():

@@ -128,12 +128,6 @@ METHODS = (Base, RO, CO, SMOTE, NCR, Sparsity)
 METHOD_NAMES = tuple(method.name for method in METHODS)
 
 
-def _concat_kinds(ds: Dataset, extra_rows: np.ndarray) -> np.ndarray | None:
-    if ds.kinds is None:
-        return None
-    return np.concatenate([ds.kinds, ds.kinds[extra_rows]])
-
-
 def random_oversample(ds: Dataset, rng: np.random.Generator) -> Dataset:
     """Duplicate minority rows uniformly with replacement until balanced."""
     s = summarize(ds)
@@ -142,9 +136,7 @@ def random_oversample(ds: Dataset, rng: np.random.Generator) -> Dataset:
         return ds
     minority_rows = np.flatnonzero(ds.labels == s.minority_label)
     dup = rng.choice(minority_rows, size=need, replace=True)
-    points = np.vstack([ds.points, ds.points[dup]])
-    labels = np.concatenate([ds.labels, ds.labels[dup]])
-    return Dataset(points, labels, _concat_kinds(ds, dup))
+    return ds.subset(np.concatenate([np.arange(ds.n), dup]))
 
 
 def _discover_clusters(ds: Dataset, minority_rows: np.ndarray) -> np.ndarray:
@@ -188,9 +180,7 @@ def cluster_oversample(ds: Dataset, rng: np.random.Generator,
         dup = np.delete(dup, drop)
     if len(dup) == 0:
         return ds
-    points = np.vstack([ds.points, ds.points[dup]])
-    labels = np.concatenate([ds.labels, ds.labels[dup]])
-    return Dataset(points, labels, _concat_kinds(ds, dup))
+    return ds.subset(np.concatenate([np.arange(ds.n), dup]))
 
 
 def smote(ds: Dataset, k: int, amount_pct: int, rng: np.random.Generator) -> Dataset:
@@ -239,18 +229,31 @@ def ncr(ds: Dataset, k: int = NCR.k) -> Dataset:
     s = summarize(ds)
     if ds.n <= k:
         raise SkewbenchError(f"need more than k={k} points to take k-NN votes")
-    neighbors = nearest(ds.points, ds.points, k, exclude=np.arange(ds.n))
+    neighbors = _nearest_others(ds, k)
     minority_votes = (ds.labels[neighbors] == s.minority_label).sum(axis=1)
     predicted_minority = minority_votes * 2 > k
 
     is_majority = ds.labels == s.majority_label
-    is_minority = ds.labels == s.minority_label
-    removed = np.zeros(ds.n, dtype=bool)
-    removed[is_majority & predicted_minority] = True
-    for i in np.flatnonzero(is_minority & ~predicted_minority):
-        nbrs = neighbors[i]
-        removed[nbrs[is_majority[nbrs]]] = True
+    removed = is_majority & predicted_minority
+    miss = neighbors[(ds.labels == s.minority_label) & ~predicted_minority]
+    removed[miss[is_majority[miss]]] = True
     return ds.subset(np.flatnonzero(~removed))
+
+
+def _nearest_others(ds: Dataset, k: int) -> np.ndarray:
+    """Each row's k nearest other rows: from the neighbour table that `ds`
+    carries where the table settles them, else by `nearest`."""
+    if ds.table is None or not np.all(ds.rows[1:] > ds.rows[:-1]):
+        return nearest(ds.points, ds.points, k, exclude=np.arange(ds.n))
+    taken, settled = ds.table.take(ds.rows, ds.rows, k, members=True)
+    out = np.empty((ds.n, k), dtype=np.intp)
+    # A set of distinct ascending rows takes each entry once: k per settled row.
+    entries = ds.table.index[ds.rows[settled]][taken[settled] > 0]
+    out[settled] = np.searchsorted(ds.rows, entries).reshape(-1, k)
+    rest = np.flatnonzero(~settled)
+    if len(rest):
+        out[rest] = nearest(ds.points, ds.points[rest], k, exclude=rest)
+    return out
 
 
 def sparsity(ds: Dataset, alpha: float, scope: str = Sparsity.scope,

@@ -346,7 +346,7 @@ class TestBadInput:
                      id="generate-gen.dims = 400 digits-dims"),
         ("generate", "gen.sub_sigma = 1e200", "sub_sigma"),
         ("generate", "gen.sub_sigma = 1e308", "sub_sigma"),
-        ("generate", "gen.box = -1e200,1e200", "center_box"),
+        ("generate", "gen.box = -1e200,1e200", "gen.box"),
         ("experiment", "exp.methods = sparsity\nsparsity.alpha = 1e308", "alpha"),
     ])
     def test_unworkable_number_exit_2(self, tmp_path, capsys, command, config, named):
@@ -378,15 +378,58 @@ class TestBadInput:
         assert not (tmp_path / "out").exists()
 
     # GenSpec's class_ratio check is the one check on a ratio, from either key.
-    @pytest.mark.parametrize("command,config", [("generate", "gen.ratio = 1:5"),
-                                                ("experiment", "exp.ratios = 5:1,1:5")])
-    def test_more_minority_than_majority_parts_exit_2(self, tmp_path, capsys, command, config):
+    # The line names the key, or the cell that an exp.ratios value made.
+    @pytest.mark.parametrize("command,config,named", [
+        pytest.param("generate", "gen.ratio = 1:5", "error: gen.ratio must be",
+                     id="generate-gen.ratio = 1:5"),
+        pytest.param("experiment", "exp.ratios = 5:1,1:5",
+                     "ratio=1:5 disturbance=0: class_ratio must be",
+                     id="experiment-exp.ratios = 5:1,1:5")])
+    def test_more_minority_than_majority_parts_exit_2(self, tmp_path, capsys, command, config,
+                                                      named):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config + "\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "class_ratio must be (majority_parts >= minority_parts >= 1)" in err
+        assert f"{named} (majority_parts >= minority_parts >= 1)" in err
+        assert not (tmp_path / "out").exists()
+
+    # GenSpec names its fields; a refusal names the config key that set one.
+    @pytest.mark.parametrize("command,config,message", [
+        ("generate", "gen.ratio = 1:5",
+         "gen.ratio must be (majority_parts >= minority_parts >= 1)"),
+        ("generate", "gen.box = 5,1", "gen.box must be a nondegenerate finite interval"),
+        ("experiment", "gen.box = 5,1", "experiment cell subclusters=2 size=400 ratio=5:1 "
+         "disturbance=0: gen.box must be a nondegenerate finite interval"),
+    ])
+    def test_gen_spec_refusal_names_the_key_exit_2(self, tmp_path, capsys, command, config,
+                                                   message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    # Results are kept by method and classifier name, so a name listed twice
+    # would pool both copies' folds into each of two report rows.
+    @pytest.mark.parametrize("setting,named", [
+        ("exp.methods = base,ro,base", "method 'base'"),
+        ("exp.classifiers = knn,tree,knn", "classifier 'knn'"),
+        ("-m base -m ro -m BASE", "method 'base'"),
+        ("--classifier knn --classifier knn", "classifier 'knn'"),
+    ])
+    def test_name_listed_twice_exit_2(self, tmp_path, capsys, setting, named):
+        if setting.startswith("exp."):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(setting + "\nexp.sizes = 60\nexp.repeats = 1\n")
+            argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        else:
+            ds, _ = generate_imbalanced(GenSpec(n_samples=60, seed=5))
+            write_dataset_csv(ds, tmp_path / "in.csv")
+            argv = ["eval", str(tmp_path / "in.csv"), "--folds", "3", *setting.split()]
+        assert main(argv) == 2
+        assert tuple(capsys.readouterr()) == ("", f"error: {named} is listed twice\n")
         assert not (tmp_path / "out").exists()
 
     # Each cell sets these GenSpec fields itself, so experiment refuses the

@@ -2,14 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skewbench import core
+from skewbench import core, resample
 from skewbench.classify import knn_fit, knn_predict_batch
 from skewbench.core import (Dataset, ExampleKind, RngSeed, SkewbenchError,
                             derive_seed, nearest, pairwise_sq, summarize)
-from skewbench.resample import ncr, smote
+from skewbench.resample import ncr, random_oversample, smote
 
 
 def make_dataset(counts: dict[int, int]) -> Dataset:
@@ -336,6 +336,104 @@ class TestNearest:
                                                         exclude=np.arange(2000)[::250]))
 
 
+class TestNeighbourTable:
+    @staticmethod
+    def unit(seed: int, n: int, dims: int, style: str):
+        """A unit dataset with its table, and its training and test rows.
+
+        Lattice points have exact squared distances, so ties are common; a
+        third of the rows of the "duplicates" style are copies of others.
+        """
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, dims)) * 2.0
+        if style == "lattice":
+            pts = np.round(pts)
+        elif style == "duplicates":
+            pts[rng.integers(0, n, size=n // 3)] = pts[rng.integers(0, n, size=n // 3)]
+        labels = (rng.random(n) < 0.3).astype(int)
+        test = np.zeros(n, dtype=bool)
+        test[rng.permutation(n)[:n // 5]] = True
+        train_rows, test_rows = np.flatnonzero(~test), np.flatnonzero(test)
+        labels[train_rows[:2]] = (0, 1)
+        return Dataset(pts, labels).with_neighbour_table(), train_rows, test_rows, rng
+
+    # Against `nearest` on the same points without a table: NCR's neighbours
+    # (self excluded) on copy-free sets, and the k-NN vote, labels and scores
+    # on those and on a set with up to `copies` copies of each training row
+    # appended in random order, as RO and CO append theirs. Queries are the
+    # test rows, and all rows, whose training rows must fall back. Narrow
+    # tables put the boundary at their last entry more often.
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200),
+           dims=st.sampled_from([1, 2, 9]),
+           style=st.sampled_from(["normal", "lattice", "duplicates"]),
+           k=st.integers(1, 9), copies=st.integers(1, 5),
+           width=st.sampled_from([core.TABLE_K, 12, 5]))
+    def test_matches_nearest_on_the_same_sets(self, monkeypatch, table_path, seed, n, dims,
+                                              style, k, copies, width):
+        if table_path is None:
+            monkeypatch.setattr(core, "TABLE_K", width)
+        unit, train_rows, test_rows, rng = self.unit(seed, n, dims, style)
+        base = unit.subset(train_rows)
+        extra = np.repeat(train_rows, rng.integers(0, copies, size=len(train_rows)))
+        sets = [base, ncr(base, k), unit.subset(np.concatenate([train_rows,
+                                                                rng.permutation(extra)]))]
+        for train in sets:
+            plain = Dataset(train.points, train.labels)
+            if np.all(train.rows[1:] > train.rows[:-1]) and train.n > k:
+                everyone = np.arange(train.n)
+                assert np.array_equal(resample._nearest_others(train, k),
+                                      nearest(plain.points, plain.points, k, exclude=everyone))
+            if train.n < k:
+                continue
+            model = knn_fit(train, k, minority_label=1)
+            direct = knn_fit(plain, k, minority_label=1)
+            for queries in (unit.subset(test_rows), unit):
+                for got, want in zip(knn_predict_batch(model, queries),
+                                     knn_predict_batch(direct, queries.points), strict=True):
+                    assert np.array_equal(got, want)
+        assert np.array_equal(sets[1].points, ncr(Dataset(base.points, base.labels), k).points)
+
+    def test_settles_most_queries_and_counts_copies(self):
+        unit, train_rows, test_rows, rng = self.unit(3, 400, 2, "normal")
+        ro = random_oversample(unit.subset(train_rows), rng)
+        assert np.array_equal(ro.rows[:len(train_rows)], train_rows)
+        for train in (unit.subset(train_rows), ro):
+            taken, settled = unit.table.take(train.rows, test_rows, 5)
+            assert settled.mean() > 0.95
+            assert np.all(taken[settled].sum(axis=1) == 5)
+        # A set's own rows are queries only as members, once, with `members`.
+        _, settled = unit.table.take(train_rows, train_rows, 5)
+        assert not settled.any()
+        _, settled = unit.table.take(ro.rows, test_rows[:1], 5, members=True)
+        assert not settled.any()
+
+    def test_a_tie_beyond_the_table_falls_back(self, monkeypatch):
+        # Row 0's table holds rows 1 and 2, both at distance 1. The set holds
+        # row 1 twice and row 3, also at distance 1 but beyond the table, so
+        # its 2 nearest are row 1 and row 3, not row 1's two copies.
+        monkeypatch.setattr(core, "TABLE_K", 2)
+        unit = Dataset([[0.0], [1.0], [-1.0], [1.0]], [0, 0, 1, 1]).with_neighbour_table()
+        assert unit.table.index[0].tolist() == [1, 2]
+        train = unit.subset([1, 3, 1])
+        _, settled = unit.table.take(train.rows, np.array([0]), 2)
+        assert not settled.any()
+        _, scores = knn_predict_batch(knn_fit(train, 2, minority_label=1), unit.subset([0]))
+        assert scores.tolist() == [0.5]
+
+    def test_table_is_the_self_excluded_nearest(self, monkeypatch):
+        pts = lattice_dataset(60).points
+        want = brute_nearest(pts, pts, core.TABLE_K, exclude=np.arange(60))
+        for rows in (None, 1, 7):
+            if rows is not None:
+                monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * pts.size)
+            table = core.NeighbourTable.build(pts)
+            assert np.array_equal(table.index, want)
+            assert np.array_equal(table.sq, np.take_along_axis(pairwise_sq(pts, pts), want, 1))
+        assert core.NeighbourTable.build(pts[:10]).index.shape == (10, 9)
+
+
 class TestPairwiseSq:
     # Below 8 columns the distances are summed column by column, which must
     # give the bits of the broadcast sum; from 8 the broadcast sum is kept.
@@ -380,6 +478,18 @@ class TestDataset:
         assert sub.points.tolist() == [[4.0, 5.0], [0.0, 1.0]]
         assert sub.labels.tolist() == [1, 0]
         assert sub.kinds.tolist() == [0, 3]
+
+    def test_subset_keeps_the_table_and_its_rows(self):
+        ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 0, 1, 1]))
+        assert ds.subset([2, 0]).table is None
+        unit = ds.with_neighbour_table()
+        sub = unit.subset([3, 1, 3]).subset([2, 0])
+        assert sub.table is unit.table
+        assert sub.rows.tolist() == [3, 3]
+        with pytest.raises(SkewbenchError, match="needs the table row"):
+            Dataset(ds.points, ds.labels, table=unit.table)
+        with pytest.raises(SkewbenchError, match="must match the point count"):
+            Dataset(ds.points, ds.labels, table=unit.table, rows=[0, 1])
 
 
 class TestSeeds:

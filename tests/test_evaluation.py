@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbench import classify, evaluation, resample
+from skewbench import classify, core, evaluation, resample
 from skewbench.core import ConfigError, Dataset, RngSeed, SkewbenchError, summarize
 from skewbench.datagen import GenSpec, generate_imbalanced
 from skewbench.classify import (CLASSIFIERS, knn_fit, knn_predict_batch, tree_fit,
@@ -358,6 +358,45 @@ class TestEvaluateFolds:
             evaluate_folds(ds, fold, (Base(), first, later), (KnnClassifier(),), RngSeed(1))
         with pytest.raises(SkewbenchError, match="^later fails on its test fold$"):
             evaluate_folds(ds, fold, (later, first), (KnnClassifier(),), RngSeed(1))
+
+
+    # The table costs about n^2 pairs and saves NCR's votes on every fold, or
+    # k-NN's on each set of copied rows; one k-NN method, as in every unit of
+    # the table31 grid, keeps `nearest`.
+    @pytest.mark.parametrize("methods,classifiers,builds", [
+        ((Base(),), (KnnClassifier(), TreeClassifier()), 0),
+        ((Base(), SMOTE(), Sparsity()), (KnnClassifier(),), 0),
+        ((Base(), RO(), CO()), (TreeClassifier(),), 0),
+        ((Base(), RO()), (KnnClassifier(),), 1),
+        ((CO(), NCR()), (KnnClassifier(), TreeClassifier()), 1),
+        ((NCR(),), (TreeClassifier(),), 1),
+    ])
+    def test_neighbour_table_only_where_shared(self, monkeypatch, methods, classifiers, builds):
+        built: list[int] = []
+        build = core.NeighbourTable.build.__func__
+
+        def spy(cls, points):
+            built.append(len(points))
+            return build(cls, points)
+
+        monkeypatch.setattr(core.NeighbourTable, "build", classmethod(spy))
+        ds, gt = fold_dataset()
+        fold = stratified_kfold(ds, 3, seed=5)
+        evaluate_folds(ds, fold, methods, classifiers, RngSeed(1),
+                       subclusters_full=gt.subcluster_assignment)
+        assert built == [ds.n] * builds
+
+    @pytest.mark.parametrize("methods,classifiers,named", [
+        ((Base(), RO(), Base()), (KnnClassifier(),), "method 'base'"),
+        ((Base(),), (KnnClassifier(), TreeClassifier(), KnnClassifier(k=5)), "classifier 'knn'"),
+    ])
+    def test_a_name_listed_twice_is_refused(self, methods, classifiers, named):
+        ds, _ = fold_dataset()
+        fold = stratified_kfold(ds, 3, seed=5)
+        with pytest.raises(ConfigError, match=f"^{named} is listed twice$"):
+            evaluate_folds(ds, fold, methods, classifiers, RngSeed(1))
+        with pytest.raises(ConfigError, match=f"^{named} is listed twice$"):
+            ExperimentSpec(methods=methods, classifiers=classifiers)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,8 +10,10 @@ Together they cover the column-wise and the broadcast branch of
 `core.pairwise_sq`, the neighbour top-k and MeanShift. At n = 300 no
 `core.nearest` call is large enough for its feature-0 sweep, so each digest
 is checked again with `core._BLOCK_BYTES` shrunk until calls go through the
-sweep. A change that alters one output byte fails here; only a change meant
-to alter outputs may rewrite the file:
+sweep. Each digest is also checked with every query of the neighbour tables
+that `evaluate_folds` shares across a unit's folds falling back to
+`core.nearest`, scanned and swept. A change that alters one output byte
+fails here; only a change meant to alter outputs may rewrite the file:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -134,8 +136,9 @@ def test_pipeline_matches_golden(tmp_path, dims):
 
 
 # At 64 KiB the smoke experiment's calls (40 queries against at most 136
-# points) still fit one block; 8 KiB sends them through the sweep too.
-def test_swept_smoke_experiment_matches_golden(tmp_path, force_sweep):
+# points) still fit one block; 8 KiB sends them through the sweep too. Its
+# neighbour table settles every query, so the sweep runs on fallback only.
+def test_swept_smoke_experiment_matches_golden(tmp_path, force_sweep, force_table_fallback):
     want = json.loads(DIGESTS.read_text())
     sweeps = force_sweep(8 << 10)
     got = smoke_digests(tmp_path)
@@ -159,6 +162,26 @@ def test_swept_pipeline_matches_golden(tmp_path, force_sweep, dims, block_kib):
     got = pipeline_digests(tmp_path, dims)
     assert got == {key: want[key] for key in want if key.startswith(f"d{dims}/")}
     assert sweeps
+
+
+# Every run digested above shares a neighbour table in some unit or `eval`;
+# with each table query sent to `core.nearest` the bytes must not move,
+# whether that call scans or sweeps.
+@pytest.mark.parametrize("block_kib", [None, 8])
+@pytest.mark.parametrize("run", ["smoke", "all_methods", *(f"d{dims}" for dims in DIMS)])
+def test_table_fallback_matches_golden(tmp_path, force_sweep, force_table_fallback,
+                                       run, block_kib):
+    want = json.loads(DIGESTS.read_text())
+    if block_kib is not None:
+        force_sweep(block_kib << 10)
+    if run == "smoke":
+        got = smoke_digests(tmp_path)
+    elif run == "all_methods":
+        got = all_methods_digests(tmp_path)
+    else:
+        got = pipeline_digests(tmp_path, int(run[1:]))
+    assert got == {key: want[key] for key in want if key.startswith(f"{run}/")}
+    assert force_table_fallback
 
 
 if __name__ == "__main__":
