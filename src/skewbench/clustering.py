@@ -75,16 +75,17 @@ def mean_shift(points, bandwidth: float, max_iter: int = DEFAULT_MAX_ITER,
         if len(idx) == 0:
             break
         # Each seed's window sum is independent of the others, so blocks of
-        # seeds keep the (block, n, d) product near _BLOCK_BYTES.
+        # seeds keep the (n, block) windows near _BLOCK_BYTES.
         for rows in _row_blocks(len(idx), pts):
             part = idx[rows]
-            within = pairwise_sq(modes[part], pts) <= sq_bw
-            counts = within.sum(axis=1)
+            # One column per seed: `pairwise_sq` gives the same bits either way round.
+            within = pairwise_sq(pts, modes[part]) <= sq_bw
+            counts = within.sum(axis=0)
             has_any = counts > 0
             # Seeds with an empty window stay put: isolated points are their own modes.
             shifted = modes[part].copy()
             if has_any.any():
-                sums = (within[has_any][:, :, None] * pts[None, :, :]).sum(axis=1)
+                sums = _window_sums(within, pts)[has_any]
                 shifted[has_any] = sums / counts[has_any][:, None]
             moved = np.sqrt(((shifted - modes[part]) ** 2).sum(axis=1))
             modes[part] = shifted
@@ -105,3 +106,22 @@ def mean_shift(points, bandwidth: float, max_iter: int = DEFAULT_MAX_ITER,
     # order gives the assignment a second pass against them would.
     used, assignment = np.unique(nearest(centers, pts, 1)[:, 0], return_inverse=True)
     return ClusterModel(centers=centers[used], assignment=assignment)
+
+
+def _window_sums(within: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(s, d) sums of the points in each window of the (n, s) mask `within`,
+    one window per column, with the bits of the (s, n, d) product summed
+    over n: pairwise along each window at d = 1, else row by row in index
+    order, starting from +0.0 as numpy's sums do.
+
+    Summed over axis 0, each feature's (n, s) product adds down the rows in
+    order, vectorised across windows. With one window, axis 0 of that
+    product is contiguous and numpy adds it pairwise; the (n, d) product
+    summed over axis 0 is then the (1, n, d) sum itself.
+    """
+    if within.shape[1] == 1:
+        return (within * pts).sum(axis=0)[None]
+    if pts.shape[1] == 1:
+        return (np.ascontiguousarray(within.T) * pts[:, 0]).sum(axis=1)[:, None]
+    return np.column_stack([(within * pts[:, j, None]).sum(axis=0)
+                            for j in range(pts.shape[1])])

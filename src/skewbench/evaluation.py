@@ -193,7 +193,10 @@ def _shares_table(methods: tuple[MethodConfig, ...],
     every set that base, RO, CO and NCR make of copied rows; SMOTE and
     Sparsity make new points. The table costs about n^2 pairs, and k-NN
     predict on one such method about 0.8 n^2 over its folds, so one k-NN
-    method alone keeps `nearest`.
+    method alone keeps `nearest`. On `grid` units (base with k-NN, seed 42,
+    best of 7 x 10, 2 vCPUs) the five folds took 0.69 ms direct against
+    1.79 ms through a table at n = 200, 1.39 against 4.28 ms at 400, and
+    3.10 against 5.83 ms at 600.
     """
     copied = sum(isinstance(m, (Base, RO, CO, NCR)) for m in methods)
     knn = any(isinstance(c, KnnClassifier) for c in classifiers)

@@ -155,7 +155,7 @@ class TestReferenceOracle:
     """
 
     @pytest.mark.parametrize("rows", [None, 1, 3])
-    @pytest.mark.parametrize("dims", [1, 2, 3, 9])
+    @pytest.mark.parametrize("dims", [1, 2, 3, 8, 9])
     @pytest.mark.parametrize("kind", ["random", "lattice"])
     def test_bits_equal_reference(self, monkeypatch, kind, dims, rows):
         pts = oracle_points(kind, dims)
@@ -173,7 +173,7 @@ class TestReferenceOracle:
                 assert np.array_equal(got.centers.view(np.uint64), centers.view(np.uint64))
                 assert np.array_equal(got.assignment, assignment)
 
-    @pytest.mark.parametrize("dims", [1, 2, 3, 9])
+    @pytest.mark.parametrize("dims", [1, 2, 3, 8, 9])
     def test_merged_modes_equal_reference(self, dims):
         # One shift step leaves 300 distinct modes close together, most of
         # which fall within bandwidth/2 of a stronger one and merge.
@@ -183,6 +183,31 @@ class TestReferenceOracle:
         assert 1 < len(got.centers) < 100
         assert np.array_equal(got.centers.view(np.uint64), centers.view(np.uint64))
         assert np.array_equal(got.assignment, assignment)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 8])
+    def test_one_active_seed_equals_reference(self, dims):
+        # Far seeds have empty windows and stop after one step, so the block
+        # that held every seed keeps one active seed, which moves on.
+        pts = np.random.default_rng(dims).normal(size=(300, dims))
+        seeds = np.vstack([pts[:1] + 0.5, pts[1:40] + 100.0])
+        got = mean_shift(pts, np.sqrt(dims), seeds=seeds)
+        centers, assignment = reference.mean_shift(pts, np.sqrt(dims), seeds=seeds)
+        assert np.array_equal(got.centers.view(np.uint64), centers.view(np.uint64))
+        assert np.array_equal(got.assignment, assignment)
+
+    @pytest.mark.parametrize("dims", [2, 3, 8])
+    def test_zero_window_sums_keep_the_sign_of_zero(self, dims):
+        # A window of -0.0 coordinates, with negative coordinates outside it:
+        # every term is -0.0, and numpy's sum of them is +0.0.
+        rng = np.random.default_rng(dims)
+        pts = np.full((60, dims), -0.0)
+        pts[:, 0] = rng.normal(size=60)
+        pts[30:] -= 50.0
+        for seeds in (None, pts[:1], pts[::5]):
+            got = mean_shift(pts, 2.0, seeds=seeds)
+            centers, assignment = reference.mean_shift(pts, 2.0, seeds=seeds)
+            assert np.array_equal(got.centers.view(np.uint64), centers.view(np.uint64))
+            assert np.array_equal(got.assignment, assignment)
 
     def test_every_mode_kept_equals_reference(self):
         # Windows this narrow hold only their own seed: all 700 modes survive,

@@ -434,6 +434,33 @@ class TestNeighbourTable:
         assert core.NeighbourTable.build(pts[:10]).index.shape == (10, 9)
 
 
+class TestTopk:
+    """`_topk` against the first k columns of the stable argsort, on both
+    sides of `TOPK_CROSSOVER`, at k = n - 1 and at k = n."""
+
+    @pytest.mark.parametrize("pick", ["1", "crossover-1", "crossover", "crossover+1",
+                                      "n-1", "n"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
+           cols=st.integers(1, 300), lattice=st.booleans())
+    def test_equals_stable_argsort(self, pick, seed, rows, cols, lattice):
+        rng = np.random.default_rng(seed)
+        sq = rng.uniform(0, 10, size=(rows, cols))
+        if lattice:  # many exact ties
+            sq = np.round(sq)
+        # At most one inf per row: the excluded point.
+        hit = np.flatnonzero(rng.random(rows) < 0.5)
+        sq[hit, rng.integers(0, cols, size=len(hit))] = np.inf
+        c = core.TOPK_CROSSOVER
+        k = {"1": 1, "crossover-1": c - 1, "crossover": c, "crossover+1": c + 1,
+             "n-1": cols - 1, "n": cols}[pick]
+        k = min(max(k, 1), cols)
+        before = sq.copy()
+        got = core._topk(sq, k)
+        assert np.array_equal(got, np.argsort(sq, axis=1, kind="stable")[:, :k])
+        assert np.array_equal(sq, before)
+
+
 class TestPairwiseSq:
     # Below 8 columns the distances are summed column by column, which must
     # give the bits of the broadcast sum; from 8 the broadcast sum is kept.
@@ -470,6 +497,28 @@ class TestDataset:
             ds.points[0, 0] = 99.0
         with pytest.raises(ValueError):
             ds.labels[0] = 5
+
+    @pytest.mark.parametrize("points,labels,kinds,match", [
+        ([[0.0], [np.inf]], [0, 1], None, "finite"),
+        ([0.0, 1.0], [0, 1], None, "2-D matrix"),
+        ([[0.0], [1.0]], [0, -1], None, "nonnegative"),
+        ([[0.0], [1.0]], [0, 1], [0, 4], "ExampleKind range"),
+    ])
+    def test_public_construction_checks(self, points, labels, kinds, match):
+        with pytest.raises(SkewbenchError, match=match):
+            Dataset(np.array(points), np.array(labels), kinds=kinds)
+
+    def test_subset_arrays_are_read_only(self):
+        ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 0, 1, 1]),
+                     kinds=np.array([3, 3, 0, 1])).with_neighbour_table()
+        sub = ds.subset([2, 0, 2])
+        for arr, dtype in ((sub.points, np.float64), (sub.labels, np.int64),
+                           (sub.kinds, np.uint8), (sub.rows, np.intp)):
+            assert arr.dtype == dtype and len(arr) == 3
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(SkewbenchError, match="1-D"):
+            ds.subset([[0, 1]])
 
     def test_subset_preserves_order_and_kinds(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 0, 1, 1]),
