@@ -60,40 +60,59 @@ class TreeClassifier:
     def fit_predict_many(self, trains: list[Dataset], minority: int,
                          queries: list[Dataset | np.ndarray],
                          ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Fit consecutive sets of one dimension as one forest while its points
-        take at most `_BLOCK_BYTES // 16` bytes (4096 rows at d = 2), because
-        the split search holds about 25 temporaries the size of the forest. A
-        larger set is fit alone."""
+        """Fit consecutive sets of one dimension as one forest while its
+        distinct rows take at most `_BLOCK_BYTES // 16` bytes (4096 rows at
+        d = 2), because the split search holds about 25 temporaries the size of
+        the forest. A larger set is fit alone.
+
+        A set that carries table rows which are not distinct and ascending (RO
+        and CO copy rows of a unit with a neighbour table) is fit on one row
+        per table row, counted as many times as it is copied: the same tree
+        on fewer rows. Every other set counts each row once."""
         _check_pairs(trains, queries)
         queries = [_points(q) for q in queries]
+        sets = [_distinct(train) for train in trains]
         out: list[tuple[np.ndarray, np.ndarray]] = []
         start = 0
-        while start < len(trains):
-            d = trains[start].d
+        while start < len(sets):
+            d = sets[start][0].d
             cap = core._BLOCK_BYTES // (16 * 8 * d)
-            stop, rows = start + 1, trains[start].n
-            while stop < len(trains) and trains[stop].d == d and rows + trains[stop].n <= cap:
-                rows += trains[stop].n
+            stop, rows = start + 1, sets[start][0].n
+            while stop < len(sets) and sets[stop][0].d == d and rows + sets[stop][0].n <= cap:
+                rows += sets[stop][0].n
                 stop += 1
-            out += self._fit_forest(trains[start:stop], minority, queries[start:stop])
+            out += self._fit_forest(sets[start:stop], minority, queries[start:stop])
             start = stop
         return out
 
-    def _fit_forest(self, trains: list[Dataset], minority: int,
+    def _fit_forest(self, sets: list[tuple[Dataset, np.ndarray]], minority: int,
                     queries: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One `tree_fit` and one `tree_predict_batch` call; tree t is fit on `trains[t]`."""
+        """One `tree_fit` and one `tree_predict_batch` call; tree t is fit on
+        the rows and copy counts of `sets[t]`."""
+        trains = [train for train, _ in sets]
         if any(q.shape[1] != trains[0].d for q in queries):
             raise SkewbenchError("query dimension does not match training data")
         ids = np.arange(len(trains))
         forest = Dataset(np.concatenate([t.points for t in trains]),
                          np.concatenate([t.labels for t in trains]))
         model = tree_fit(forest, max_depth=self.max_depth, min_leaf=self.min_leaf,
-                         minority_label=minority, trees=np.repeat(ids, [t.n for t in trains]))
+                         minority_label=minority, trees=np.repeat(ids, [t.n for t in trains]),
+                         counts=np.concatenate([counts for _, counts in sets]))
         sizes = [len(q) for q in queries]
         labels, scores = tree_predict_batch(model, np.concatenate(queries),
                                             trees=np.repeat(ids, sizes))
         cuts = np.cumsum(sizes)[:-1]
         return list(zip(np.split(labels, cuts), np.split(scores, cuts)))
+
+
+def _distinct(train: Dataset) -> tuple[Dataset, np.ndarray]:
+    """`train` as distinct rows and the copies of each. Rows that copy one
+    table row are one point with one label, so a set with table rows that are
+    not distinct keeps the first copy of each."""
+    if train.rows is None or train.distinct_rows:
+        return train, np.ones(train.n, dtype=np.int64)
+    _, first, counts = np.unique(train.rows, return_index=True, return_counts=True)
+    return train.subset(first), counts
 
 
 def _check_pairs(trains: list[Dataset], queries: list[Dataset | np.ndarray]) -> None:
@@ -157,7 +176,7 @@ def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]
     rest = np.arange(len(q))
     table = queries.table if isinstance(queries, Dataset) else None
     if table is not None and table is train.table:
-        taken, settled = table.take(train.rows, queries.rows, model.k)
+        taken, settled = table.take(train, queries.rows, model.k)
         row_min = np.zeros(len(table.index), dtype=np.int32)
         row_min[train.rows] = is_min
         votes[settled] = (taken * row_min[table.index[queries.rows]])[settled].sum(axis=1)
@@ -225,18 +244,66 @@ def _gini_weighted(m_left, n_left, m_total, n_total):
     return (n_left * g_l + n_right * g_r) / n_total
 
 
-def _level_splits(points: np.ndarray, is_min: np.ndarray, sorted_rows: np.ndarray,
-                  live: np.ndarray, node: np.ndarray, size: np.ndarray,
-                  minority: np.ndarray, is_open: np.ndarray, min_leaf: int,
-                  feature: np.ndarray, threshold: np.ndarray) -> None:
+CUT_RULE_ROWS = 4096
+"""`_can_win` skips cuts only in nodes of at most this many counted rows.
+
+A node's impurity at a cut, times its N counted rows, is
+2 m_l o_l / n_l + 2 m_r o_r / n_r, with m and o the minority and majority
+rows on each side. Moving the rows of one class across a run of cuts leaves
+the other class's counts fixed, and each term x o / (x + o) is concave in x,
+with second derivative at most -4/N^3 over both sides once either side
+holds a row of the other class, as in an impure node. So each cut inside
+such a run lies above the lower end of the run by at least 2/N^3, or 2/N^4
+in impurity (CART's concave impurity; Fayyad & Irani's boundary points).
+`_gini_weighted` computes the impurity to within about 6.5 units of 2^-53,
+7.2e-16, of its exact value, and for N <= 4096 the gap, at least 7.1e-15, is
+larger than twice that. So a cut inside a run never ties or beats the run's
+lower end in floats either, and the lowest impurity, with the first cut
+that reaches it, comes out the same whichever of those cuts are scored.
+"""
+
+
+def _can_win(step: np.ndarray, allowed: np.ndarray, minority: np.ndarray,
+             size: np.ndarray) -> np.ndarray:
+    """The cuts of one level pass that can hold their node's lowest impurity.
+
+    Cut j lies between entries j and j + 1. `step[j]` says that entry j + 1
+    holds a higher value than entry j, `allowed[j]` that the cut leaves
+    `min_leaf` counted rows on each side within its segment, `minority` marks
+    the minority entries and `size[j]` is the counted size of cut j's node. A
+    candidate (a step that is allowed) is skipped only when the cuts on both
+    sides are candidates too and the entries on its two sides hold one class:
+    it lies inside a run of one class, where it cannot win. So a candidate is
+    kept when the labels on its two sides differ, when an entry beside it
+    belongs to a block of equal values, when it is the first or last cut of
+    its segment that `min_leaf` allows, or when its node holds more than
+    CUT_RULE_ROWS rows. A segment's last entry has no row on its right, so the
+    cut after it is never allowed and a run never spans two segments.
+    """
+    cut = step & allowed
+    inside = np.zeros(len(cut), dtype=bool)
+    inside[1:-1] = (cut[:-2] & cut[2:] & (minority[1:-2] == minority[2:-1])
+                    & (size[1:-1] <= CUT_RULE_ROWS))
+    return cut & ~inside
+
+
+def _level_splits(points: np.ndarray, is_min: np.ndarray, weight: np.ndarray,
+                  weight_min: np.ndarray, sorted_rows: np.ndarray, live: np.ndarray,
+                  node: np.ndarray, size: np.ndarray, minority: np.ndarray,
+                  is_open: np.ndarray, min_leaf: int, feature: np.ndarray,
+                  threshold: np.ndarray) -> None:
     """Write the best split of every open node of one level into `feature` and
     `threshold`; open nodes with no candidate keep feature -1.
 
     `sorted_rows[f]` holds all rows in (value of f, row) order, `live` marks
-    the rows of open nodes and `node` maps a row to its node.
+    the rows of open nodes and `node` maps a row to its node. Row i stands for
+    `weight[i]` copies, `weight_min[i]` of them minority rows, and `size` and
+    `minority` count copies.
     """
     open_size = np.where(is_open, size, 0)
-    rows_before = np.cumsum(open_size) - open_size  # live rows in earlier nodes
+    open_min = np.where(is_open, minority, 0)
+    size_before = open_size.cumsum() - open_size  # counted rows in earlier open nodes
+    min_before = open_min.cumsum() - open_min
     lowest = np.full(len(size), np.inf)
     # Blocks of features keep each block's temporaries near _BLOCK_BYTES. A
     # later block wins only with a strictly lower impurity: ties keep the
@@ -255,16 +322,18 @@ def _level_splits(points: np.ndarray, is_min: np.ndarray, sorted_rows: np.ndarra
         feat = local + block.start
         owner = node[rows]
         values = points.ravel()[rows * points.shape[1] + feat]
-        # Rows left of a cut after each entry, counted within its segment.
-        n_left = np.arange(d * m) - d * rows_before[owner] - local * size[owner] + 1
-        n_right = size[owner] - n_left
-        cand = np.flatnonzero((values[:-1] < values[1:]) & (n_left[:-1] >= min_leaf)
-                              & (n_right[:-1] >= min_leaf))
+        # Counted rows left of a cut after each entry, within its segment.
+        node_size = size[owner]
+        n_left = weight[rows].cumsum() - d * size_before[owner] - local * node_size
+        n_right = node_size - n_left
+        cand = np.flatnonzero(_can_win(values[:-1] < values[1:],
+                                       (n_left[:-1] >= min_leaf) & (n_right[:-1] >= min_leaf),
+                                       is_min[rows], node_size[:-1]))
         if len(cand) == 0:
             continue
-        cum = np.concatenate(([0], np.cumsum(is_min[rows])))
-        m_left = cum[cand + 1] - cum[cand + 1 - n_left[cand]]
-        owner = owner[cand]
+        owner, local = owner[cand], local[cand]
+        m_left = (weight_min[rows].cumsum()[cand] - d * min_before[owner]
+                  - local * minority[owner])
         impurity = _gini_weighted(m_left, n_left[cand], minority[owner], size[owner])
         # Candidates run in (node, feature, threshold) order, so the first one at its
         # node's lowest impurity has the lower feature, then the lower threshold.
@@ -275,7 +344,7 @@ def _level_splits(points: np.ndarray, is_min: np.ndarray, sorted_rows: np.ndarra
         pick = pick[impurity[pick] < lowest[owner[pick]]]
         at, best = owner[pick], cand[pick]
         lowest[at] = impurity[pick]
-        feature[at] = feat[best]
+        feature[at] = block.start + local[pick]
         with np.errstate(over="ignore"):  # midpoints of values near the float limit
             threshold[at] = (values[best] + values[best + 1]) / 2.0
 
@@ -288,9 +357,18 @@ def _tree_ids(trees, count: int) -> np.ndarray:
     return ids.astype(np.intp)
 
 
+def _copy_counts(counts, count: int) -> np.ndarray:
+    """`counts` as an int64 array of `count` positive integers, one per row."""
+    weight = np.asarray(counts)
+    if weight.shape != (count,) or (count and (weight.dtype.kind not in "iu"
+                                               or weight.min() < 1)):
+        raise SkewbenchError(f"copy counts must be {count} positive integers, one per row")
+    return weight.astype(np.int64)
+
+
 def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
              min_leaf: int = TreeClassifier.min_leaf, *, minority_label: int,
-             trees=None) -> TreeModel:
+             trees=None, counts=None) -> TreeModel:
     """Greedy binary CART growth on Gini impurity, one depth level at a time,
     with the rows labelled `minority_label` as the minority.
 
@@ -300,29 +378,43 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
     pass. The forest has one majority label, the other label present in any
     of its trees.
 
+    `counts` makes row i stand for `counts[i]` identical rows (CART's integer
+    case weights); the default is one each. Node sizes, `min_leaf` and the
+    leaf counts count copies, and copies never fall on two sides of a cut, so
+    the tree is, node for node and bit for bit, the one grown on the copies.
+
     Candidate thresholds are midpoints between consecutive distinct sorted
     feature values. A node splits whenever a candidate satisfies min_leaf on
     both sides and the node is impure and above max_depth, even at zero gain
     (zero-gain splits are what make XOR-style data separable). The lowest
     weighted Gini wins, ties going to the lower feature, then the lower
-    threshold. Mixed labels with identical features collapse into a single
-    leaf. Rows with a feature value <= threshold go left.
+    threshold. Only the candidates that `_can_win` keeps are scored: the
+    others lie inside a run of one class and can neither win nor tie (see
+    CUT_RULE_ROWS). Mixed labels with identical features collapse into a
+    single leaf. Rows with a feature value <= threshold go left.
     """
     TreeClassifier(max_depth=max_depth, min_leaf=min_leaf)  # parameter validation
     if ds.n == 0:
         raise SkewbenchError("cannot fit a tree on an empty dataset")
     # Node of each row within its level, starting at its tree's root.
     node = np.zeros(ds.n, dtype=np.intp) if trees is None else _tree_ids(trees, ds.n)
-    if node.min() < 0 or not (size := np.bincount(node)).all():
+    if node.min() < 0 or not np.bincount(node).all():
         raise SkewbenchError("tree ids must run from 0 with at least one row each")
+    weight = np.ones(ds.n, dtype=np.int64) if counts is None else _copy_counts(counts, ds.n)
     majority = _majority_label(ds, minority_label)
     is_min = ds.labels == minority_label
+    weight_min = weight * is_min
     points = ds.points
+
+    def counted(at: np.ndarray, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(copies, minority copies) per node of the rows `rows` at nodes `at`."""
+        size = np.bincount(at, weights=weight[rows], minlength=width).astype(np.int64)
+        return size, np.bincount(at, weights=weight_min[rows], minlength=width).astype(np.int64)
 
     # Each feature's rows sorted once; a node's rows keep this order.
     sorted_rows = np.argsort(points.T, axis=1, kind="stable")
     rows = np.arange(ds.n)  # rows in the nodes of the current level
-    count_min = np.bincount(node[is_min], minlength=len(size))
+    size, count_min = counted(node, rows, 0)
     n_trees = len(size)
     levels = []
     depth = n_nodes = 0
@@ -340,8 +432,8 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
         rows = rows[is_open[node[rows]]]
         live = np.zeros(ds.n, dtype=bool)
         live[rows] = True
-        _level_splits(points, is_min, sorted_rows, live, node, size, count_min, is_open,
-                      min_leaf, feature, threshold)
+        _level_splits(points, is_min, weight, weight_min, sorted_rows, live, node, size,
+                      count_min, is_open, min_leaf, feature, threshold)
         split = np.flatnonzero(feature >= 0)
         if len(split) == 0:
             break
@@ -353,8 +445,7 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
         at = node[rows]
         # The children of the q-th split node are 2q (left) and 2q + 1.
         node[rows] = 2 * slot[at] + ~(points[rows, feature[at]] <= threshold[at])
-        size = np.bincount(node[rows], minlength=2 * len(split))
-        count_min = np.bincount(node[rows[is_min[rows]]], minlength=2 * len(split))
+        size, count_min = counted(node[rows], rows, 2 * len(split))
         depth += 1
 
     feature, threshold, left, count_min, size = (np.concatenate(c) for c in zip(*levels))

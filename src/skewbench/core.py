@@ -119,6 +119,13 @@ class Dataset:
         object.__setattr__(sub, "table", self.table)
         return sub
 
+    @property
+    def distinct_rows(self) -> bool:
+        """Whether the dataset carries table rows that are distinct and in
+        ascending order, as every subset by ascending indices of a set with
+        its own table does."""
+        return self.rows is not None and bool(np.all(self.rows[1:] > self.rows[:-1]))
+
     def with_neighbour_table(self) -> "Dataset":
         """This dataset with a neighbour table over its own rows."""
         return Dataset(self.points, self.labels, self.kinds,
@@ -279,12 +286,13 @@ class NeighbourTable:
                 sq[rows] = np.take_along_axis(block, top, axis=1)
         return cls(index, sq)
 
-    def take(self, rows: np.ndarray, queries: np.ndarray, k: int,
+    def take(self, train: Dataset, queries: np.ndarray, k: int,
              members: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(taken, settled) for the k nearest, in a set of table rows, of each query.
+        """(taken, settled) for the k nearest, in a set that carries this
+        table, of each query.
 
-        `rows` lists the table row that each row of the set copies, and each
-        query is a table row. `taken[i, j]` counts the copies of table entry
+        `train.rows` lists the table row that each row of the set copies, and
+        each query is a table row. `taken[i, j]` counts the copies of table entry
         `index[queries[i], j]` among query i's k nearest set rows. A query
         that is a set row once with `members` (its own row excluded, as NCR's
         vote excludes it), or not a set row at all without, is settled when
@@ -300,14 +308,14 @@ class NeighbourTable:
         A query not settled needs `nearest` on the set itself.
         """
         # 32-bit counts halve the query x width temporaries.
-        counts = np.bincount(rows, minlength=len(self.index)).astype(np.int32)
+        counts = np.bincount(train.rows, minlength=len(self.index)).astype(np.int32)
         entries = self.index[queries]
         have = counts[entries]
         before = np.cumsum(have, axis=1, dtype=np.int32) - have
         taken = np.clip(k - before, 0, have)
         settled = (taken.sum(axis=1) == k) & (counts[queries] == members)
         at = np.flatnonzero(settled)
-        if len(at) and not np.all(rows[1:] > rows[:-1]):
+        if len(at) and not train.distinct_rows:
             sq = self.sq[queries[at]]
             last = taken.shape[1] - 1 - np.argmax(taken[at, ::-1] > 0, axis=1)
             boundary = sq[np.arange(len(at)), last]

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_tree as reference
 from skewbench import core
@@ -9,6 +11,7 @@ from skewbench import classify
 from skewbench.classify import (TreeClassifier, knn_fit, knn_predict_batch, tree_fit,
                                 tree_predict_batch)
 from skewbench.core import Dataset, RngSeed, SkewbenchError, summarize
+from skewbench.resample import random_oversample
 
 
 def ds_of(points, labels):
@@ -414,6 +417,128 @@ class TestForest:
             tree_predict_batch(model, [[0.0], [1.0]], trees=[0])
         with pytest.raises(SkewbenchError, match="2 training sets but 1 query arrays"):
             TreeClassifier().fit_predict_many([ds, ds], 1, [ds.points])
+
+
+def model_bits(model):
+    """Every node array of a fitted forest, thresholds as bits."""
+    return ([getattr(model, f).tolist() for f in FIELDS if f != "threshold"]
+            + [model.threshold.view(np.uint64).tolist(), model.n_trees])
+
+
+class TestCopyCounts:
+    """A tree fit on copy counts against the tree fit on the copies themselves."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           dims=st.integers(1, 3), style=st.sampled_from(["normal", "lattice"]),
+           copies=st.integers(1, 5), min_leaf=st.integers(1, 4), max_depth=st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_bits_equal_the_copies(self, seed, sizes, dims, style, copies, min_leaf,
+                                   max_depth):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        if style == "normal":
+            pts = rng.normal(size=(n, dims))
+        else:
+            pts = rng.integers(0, 3, size=(n, dims)).astype(float)
+        labels = (rng.random(n) < 0.35).astype(int)
+        trees = np.repeat(np.arange(len(sizes)), sizes)
+        counts = rng.integers(1, copies + 1, size=n)
+        model = tree_fit(Dataset(pts, labels), max_depth, min_leaf, minority_label=1,
+                         trees=trees, counts=counts)
+        # The copies in shuffled order: a tree does not depend on the order of rows.
+        copied = rng.permutation(np.repeat(np.arange(n), counts))
+        want = tree_fit(Dataset(pts[copied], labels[copied]), max_depth, min_leaf,
+                        minority_label=1, trees=trees[copied])
+        assert model_bits(model) == model_bits(want)
+
+    @pytest.mark.parametrize("counts", [[1, 0, 1], [1, -2, 1], [1.0, 1.0, 1.0],
+                                        [True, True, True], [1, 1], [[1, 1, 1]]])
+    def test_refuses_counts_that_are_not_positive_integers(self, counts):
+        ds = ds_of([[0.0], [1.0], [2.0]], [0, 1, 0])
+        with pytest.raises(SkewbenchError,
+                           match="copy counts must be 3 positive integers, one per row"):
+            tree_fit(ds, min_leaf=1, minority_label=1, counts=counts)
+
+    def test_copied_sets_fit_on_distinct_rows_in_one_forest(self, monkeypatch):
+        # Five RO folds of 640 rows, a fifth of them minority, grow to about
+        # 1020 rows each: above the forest cap of 4096 rows at d = 2 together,
+        # but their 3200 distinct rows fit as one forest.
+        rng = np.random.default_rng(4)
+        unit = Dataset(rng.normal(size=(1000, 2)),
+                       (rng.random(1000) < 0.2).astype(int)).with_neighbour_table()
+        folds = [unit.subset(np.sort(rng.permutation(unit.n)[:640])) for _ in range(5)]
+        trains = [random_oversample(fold, rng) for fold in folds]
+        assert sum(t.n for t in trains) > 4096 and not any(t.distinct_rows for t in trains)
+        queries = [unit.subset(np.arange(0, unit.n, 9)) for _ in trains]
+        calls = []
+        original = classify.tree_fit
+
+        def counted(ds, *args, **kwargs):
+            calls.append((ds.n, kwargs["counts"].sum()))
+            return original(ds, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "tree_fit", counted)
+        got = TreeClassifier().fit_predict_many(trains, 1, queries)
+        assert calls == [(sum(f.n for f in folds), sum(t.n for t in trains))]
+        for train, q, (labels, scores) in zip(trains, queries, got):
+            plain = original(Dataset(train.points, train.labels), minority_label=1)
+            want_labels, want_scores = tree_predict_batch(plain, q.points)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(scores.view(np.uint64), want_scores.view(np.uint64))
+
+
+class TestCutRule:
+    """`_can_win` scores only cuts that can hold a node's lowest impurity."""
+
+    # Two segments of one row per entry, with min_leaf = 2: 14 entries with
+    # minority at entries 10 and 13 and equal values at entries 4 and 5, then
+    # 4 majority entries. Of the candidates 1-3, 5-11 and 15, cut 1 is the
+    # first that min_leaf allows, 11 the last (12 leaves one row on its
+    # right), 3 and 5 sit beside the equal pair, 9 and 10 beside entry 10,
+    # and 15 is alone in its segment. Cuts 2, 6, 7 and 8 lie inside runs.
+    VALUES = np.array([0, 1, 2, 3, 4, 4, 6, 7, 8, 9, 10, 11, 12, 13, 0, 1, 2, 3.0])
+    N_LEFT = np.array([*range(1, 15), *range(1, 5)])
+    SEGMENT_SIZE = np.array([14] * 14 + [4] * 4)
+    MINORITY = np.isin(np.arange(18), [10, 13])
+    KEPT = [1, 3, 5, 9, 10, 11, 15]
+
+    def can_win(self, size):
+        n_left = self.N_LEFT[:-1]
+        allowed = (n_left >= 2) & (self.SEGMENT_SIZE[:-1] - n_left >= 2)
+        return classify._can_win(self.VALUES[:-1] < self.VALUES[1:], allowed, self.MINORITY,
+                                 np.full(len(n_left), size))
+
+    def test_skips_cuts_inside_a_run_of_one_class(self):
+        for size in (14, 4096):
+            assert np.flatnonzero(self.can_win(size)).tolist() == self.KEPT
+
+    def test_a_node_above_the_size_bound_keeps_every_cut(self):
+        assert np.flatnonzero(self.can_win(4097)).tolist() == [1, 2, 3, *range(5, 12), 15]
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), dims=st.integers(1, 3),
+           run=st.integers(1, 12), grid=st.sampled_from([None, 0.5, 2.0]),
+           min_leaf=st.integers(1, 4), max_depth=st.integers(1, 12),
+           copies=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_runs_of_one_class_match_the_reference(self, seed, n, dims, run, grid, min_leaf,
+                                                   max_depth, copies):
+        # Labels come in runs of mean length `run` along feature 0; a grid
+        # makes blocks of equal values; copies shift where min_leaf allows a cut.
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, dims)) * 3
+        if grid is not None:
+            pts = np.round(pts / grid) * grid
+        lengths = rng.geometric(1 / run, size=n)
+        in_order = np.repeat(np.arange(n) % 2, lengths)[:n]
+        labels = np.empty(n, dtype=int)
+        labels[np.argsort(pts[:, 0], kind="stable")] = in_order
+        counts = rng.integers(1, copies + 1, size=n)
+        model = tree_fit(Dataset(pts, labels), max_depth, min_leaf, minority_label=1,
+                         counts=counts)
+        copied = np.repeat(np.arange(n), counts)
+        nodes = reference.tree_fit(pts[copied], labels[copied] == 1, max_depth, min_leaf)
+        assert preorder(node_rows(model)) == preorder(nodes)
 
 
 def random_sets(count, rows, seed=0):

@@ -6,6 +6,10 @@ remainders across classes, sub-clusters and folds), and, for `gen.dims` = 1,
 2, 3 and 9 at seed 5, the file pipeline `generate` -> `resample` (co, ncr,
 smote, sparsity) -> `eval` (two runs that between them cover every method)
 -> `plot --show-centers` (2-D only, the one dimension `plot` renders).
+A third `eval` runs RO and CO alone with both classifiers, so their trees
+grow on sets of copied rows that carry a neighbour table. One more key runs
+`eval -m co --classifier tree` on 4000 generated rows, where the CO sets'
+roots hold more rows than the tree's cut rule covers (`classify.CUT_RULE_ROWS`).
 Together they cover the column-wise and the broadcast branch of
 `core.pairwise_sq`, the neighbour top-k and MeanShift. At n = 300 no
 `core.nearest` call is large enough for its feature-0 sweep, so each digest
@@ -46,7 +50,14 @@ gen.rare_fraction = 0.1
 RESAMPLERS = ("co", "ncr", "smote", "sparsity")
 CLASSIFIER_ARGS = ("--classifier", "knn", "--classifier", "tree", "--folds", "3")
 EVAL_ARGS = {"eval.txt": ("-m", "base", "-m", "ncr", "-m", "smote", "-m", "co"),
-             "eval_ro_sparsity.txt": ("-m", "ro", "-m", "sparsity")}
+             "eval_ro_sparsity.txt": ("-m", "ro", "-m", "sparsity"),
+             "eval_ro_co.txt": ("-m", "ro", "-m", "co")}
+LARGE_CONFIG = """\
+gen.n_samples = 4000
+gen.ratio = 7:1
+gen.disturbance_ratio = 0.3
+gen.rare_fraction = 0.1
+"""
 # 137 rows at 3:1 are 103 majority rows in 2 sub-clusters and 34 minority rows
 # in 3, and 4 folds split neither class evenly.
 ALL_METHODS_CONFIG = """\
@@ -116,6 +127,15 @@ def pipeline_digests(work: Path, dims: int) -> dict[str, str]:
     return {f"d{dims}/{name}": digest for name, digest in got.items()}
 
 
+def large_digests(work: Path) -> dict[str, str]:
+    cfg = work / "large.cfg"
+    cfg.write_text(LARGE_CONFIG)
+    data = work / "large.csv"
+    _run(["generate", "--config", str(cfg), "--seed", SEED, "--out", str(data)])
+    out = _run(["eval", str(data), "--seed", SEED, "-m", "co", "--classifier", "tree"])
+    return {"large/eval_co_tree.txt": _sha(out.encode())}
+
+
 def test_smoke_experiment_matches_golden(tmp_path):
     want = json.loads(DIGESTS.read_text())
     got = smoke_digests(tmp_path)
@@ -133,6 +153,12 @@ def test_pipeline_matches_golden(tmp_path, dims):
     want = json.loads(DIGESTS.read_text())
     got = pipeline_digests(tmp_path, dims)
     assert got == {key: want[key] for key in want if key.startswith(f"d{dims}/")}
+
+
+def test_large_co_tree_matches_golden(tmp_path):
+    want = json.loads(DIGESTS.read_text())
+    assert large_digests(tmp_path) == {key: want[key] for key in want
+                                       if key.startswith("large/")}
 
 
 # At 64 KiB the smoke experiment's calls (40 queries against at most 136
@@ -189,7 +215,7 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        digests = smoke_digests(work) | all_methods_digests(work)
+        digests = smoke_digests(work) | all_methods_digests(work) | large_digests(work)
         for dims in DIMS:
             digests.update(pipeline_digests(work, dims))
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
