@@ -65,10 +65,10 @@ class TreeClassifier:
         d = 2), because the split search holds about 25 temporaries the size of
         the forest. A larger set is fit alone.
 
-        A set that carries table rows which are not distinct and ascending (RO
-        and CO copy rows of a unit with a neighbour table) is fit on one row
-        per table row, counted as many times as it is copied: the same tree
-        on fewer rows. Every other set counts each row once."""
+        A set that records copied rows which are not distinct and ascending
+        (RO and CO sets in `evaluate_folds`) is fit on one row per copied row,
+        counted as many times as it is copied: the same tree on fewer rows.
+        Every other set counts each row once."""
         _check_pairs(trains, queries)
         queries = [_points(q) for q in queries]
         sets = [_distinct(train) for train in trains]
@@ -107,8 +107,8 @@ class TreeClassifier:
 
 def _distinct(train: Dataset) -> tuple[Dataset, np.ndarray]:
     """`train` as distinct rows and the copies of each. Rows that copy one
-    table row are one point with one label, so a set with table rows that are
-    not distinct keeps the first copy of each."""
+    row are one point with one label, so a set whose copied rows are not
+    distinct keeps the first copy of each."""
     if train.rows is None or train.distinct_rows:
         return train, np.ones(train.n, dtype=np.int64)
     _, first, counts = np.unique(train.rows, return_index=True, return_counts=True)
@@ -176,7 +176,7 @@ def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]
     rest = np.arange(len(q))
     table = queries.table if isinstance(queries, Dataset) else None
     if table is not None and table is train.table:
-        taken, settled = table.take(train, queries.rows, model.k)
+        taken, settled = table.take(train.rows, queries.rows, model.k)
         row_min = np.zeros(len(table.index), dtype=np.int32)
         row_min[train.rows] = is_min
         votes[settled] = (taken * row_min[table.index[queries.rows]])[settled].sum(axis=1)

@@ -52,10 +52,12 @@ class Dataset:
     Immutable after construction; the backing arrays are marked read-only so
     folds, resamplers and classifiers can share an instance without copying it.
 
-    A dataset made of copied rows of one point set may carry that set's
-    `NeighbourTable` and, in `rows`, the table row each of its rows copies.
-    `with_neighbour_table` attaches a table over a dataset's own rows, and
-    `subset` keeps the table, so every subset finds its neighbours there.
+    A dataset made of copied rows of one point set may record, in `rows`,
+    the row of that set each of its rows copies, and carry that set's
+    `NeighbourTable`, which needs those rows. `with_rows` numbers a dataset's
+    own rows, `with_neighbour_table` also attaches a table over them, and
+    `subset` keeps both, so every subset knows its copies and finds its
+    neighbours there.
     """
 
     points: np.ndarray
@@ -84,12 +86,12 @@ class Dataset:
             if len(kinds) and kinds.max() > max(ExampleKind):
                 raise SkewbenchError("kinds contain values outside the ExampleKind range")
             object.__setattr__(self, "kinds", _frozen_array(kinds, np.uint8))
-        if (self.table is None) != (self.rows is None):
+        if self.table is not None and self.rows is None:
             raise SkewbenchError("a neighbour table needs the table row of every row")
-        if self.table is not None:
+        if self.rows is not None:
             rows = np.array(self.rows, dtype=np.intp)
             if rows.shape != labels.shape:
-                raise SkewbenchError("table rows must match the point count")
+                raise SkewbenchError("copied rows must match the point count")
             object.__setattr__(self, "rows", _frozen_array(rows, np.intp))
 
     @property
@@ -121,15 +123,23 @@ class Dataset:
 
     @property
     def distinct_rows(self) -> bool:
-        """Whether the dataset carries table rows that are distinct and in
-        ascending order, as every subset by ascending indices of a set with
-        its own table does."""
-        return self.rows is not None and bool(np.all(self.rows[1:] > self.rows[:-1]))
+        """Whether the dataset records rows that are distinct and in ascending
+        order, as every subset by ascending indices of a numbered set does."""
+        return self.rows is not None and _ascending(self.rows)
+
+    def with_rows(self) -> "Dataset":
+        """This dataset with its own rows numbered, and no neighbour table."""
+        return Dataset(self.points, self.labels, self.kinds, rows=np.arange(self.n))
 
     def with_neighbour_table(self) -> "Dataset":
-        """This dataset with a neighbour table over its own rows."""
+        """This dataset with its own rows numbered and a neighbour table over them."""
         return Dataset(self.points, self.labels, self.kinds,
                        NeighbourTable.build(self.points), np.arange(self.n))
+
+
+def _ascending(rows: np.ndarray) -> bool:
+    """Whether `rows` are distinct and in ascending order."""
+    return bool(np.all(rows[1:] > rows[:-1]))
 
 
 @dataclass(frozen=True)
@@ -286,13 +296,12 @@ class NeighbourTable:
                 sq[rows] = np.take_along_axis(block, top, axis=1)
         return cls(index, sq)
 
-    def take(self, train: Dataset, queries: np.ndarray, k: int,
+    def take(self, rows: np.ndarray, queries: np.ndarray, k: int,
              members: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(taken, settled) for the k nearest, in a set that carries this
-        table, of each query.
+        """(taken, settled) for the k nearest, in a set of table rows, of each query.
 
-        `train.rows` lists the table row that each row of the set copies, and
-        each query is a table row. `taken[i, j]` counts the copies of table entry
+        `rows` lists the table row that each row of the set copies, and each
+        query is a table row. `taken[i, j]` counts the copies of table entry
         `index[queries[i], j]` among query i's k nearest set rows. A query
         that is a set row once with `members` (its own row excluded, as NCR's
         vote excludes it), or not a set row at all without, is settled when
@@ -308,14 +317,14 @@ class NeighbourTable:
         A query not settled needs `nearest` on the set itself.
         """
         # 32-bit counts halve the query x width temporaries.
-        counts = np.bincount(train.rows, minlength=len(self.index)).astype(np.int32)
+        counts = np.bincount(rows, minlength=len(self.index)).astype(np.int32)
         entries = self.index[queries]
         have = counts[entries]
         before = np.cumsum(have, axis=1, dtype=np.int32) - have
         taken = np.clip(k - before, 0, have)
         settled = (taken.sum(axis=1) == k) & (counts[queries] == members)
         at = np.flatnonzero(settled)
-        if len(at) and not train.distinct_rows:
+        if len(at) and not _ascending(rows):
             sq = self.sq[queries[at]]
             last = taken.shape[1] - 1 - np.argmax(taken[at, ::-1] > 0, axis=1)
             boundary = sq[np.arange(len(at)), last]

@@ -143,14 +143,15 @@ def evaluate_folds(ds: Dataset, fold_assignment: np.ndarray,
     `subclusters_full` optionally carries per-row sub-cluster ids (ground
     truth) for cluster-aware methods; only the minority entries are used.
 
-    Where `_shares_table` says so, `ds` gets one neighbour table, which every
+    Every set made of copied rows of `ds` records which row each of its rows
+    copies, so the tree fits RO and CO sets on their distinct rows. Where
+    `_shares_table` says so, `ds` also gets one neighbour table, which every
     fold's training and test rows carry: NCR and the k-NN vote find their
     neighbours there.
     """
     _check_distinct(methods, classifiers)
     minority = summarize(ds).minority_label
-    if _shares_table(methods, classifiers):
-        ds = ds.with_neighbour_table()
+    ds = ds.with_neighbour_table() if _shares_table(methods, classifiers) else ds.with_rows()
     folds = range(int(fold_assignment.max()) + 1)
     trains, clusters, tests = [], [], []
     for fold in folds:

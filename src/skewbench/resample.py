@@ -243,9 +243,9 @@ def ncr(ds: Dataset, k: int = NCR.k) -> Dataset:
 def _nearest_others(ds: Dataset, k: int) -> np.ndarray:
     """Each row's k nearest other rows: from the neighbour table that `ds`
     carries where the table settles them, else by `nearest`."""
-    if not ds.distinct_rows:
+    if ds.table is None or not ds.distinct_rows:
         return nearest(ds.points, ds.points, k, exclude=np.arange(ds.n))
-    taken, settled = ds.table.take(ds, ds.rows, k, members=True)
+    taken, settled = ds.table.take(ds.rows, ds.rows, k, members=True)
     out = np.empty((ds.n, k), dtype=np.intp)
     # A set of distinct ascending rows takes each entry once: k per settled row.
     entries = ds.table.index[ds.rows[settled]][taken[settled] > 0]

@@ -35,8 +35,8 @@ def force_table_fallback(monkeypatch):
     calls = []
     take = core.NeighbourTable.take
 
-    def spy(self, train, queries, k, members=False):
-        taken, settled = take(self, train, queries, k, members)
+    def spy(self, rows, queries, k, members=False):
+        taken, settled = take(self, rows, queries, k, members)
         assert not settled.any()
         calls.append(len(queries))
         return taken, settled

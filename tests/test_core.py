@@ -381,7 +381,7 @@ class TestNeighbourTable:
                                                                 rng.permutation(extra)]))]
         for train in sets:
             plain = Dataset(train.points, train.labels)
-            if train.distinct_rows and train.n > k:
+            if np.all(train.rows[1:] > train.rows[:-1]) and train.n > k:
                 everyone = np.arange(train.n)
                 assert np.array_equal(resample._nearest_others(train, k),
                                       nearest(plain.points, plain.points, k, exclude=everyone))
@@ -400,13 +400,13 @@ class TestNeighbourTable:
         ro = random_oversample(unit.subset(train_rows), rng)
         assert np.array_equal(ro.rows[:len(train_rows)], train_rows)
         for train in (unit.subset(train_rows), ro):
-            taken, settled = unit.table.take(train, test_rows, 5)
+            taken, settled = unit.table.take(train.rows, test_rows, 5)
             assert settled.mean() > 0.95
             assert np.all(taken[settled].sum(axis=1) == 5)
         # A set's own rows are queries only as members, once, with `members`.
-        _, settled = unit.table.take(unit.subset(train_rows), train_rows, 5)
+        _, settled = unit.table.take(train_rows, train_rows, 5)
         assert not settled.any()
-        _, settled = unit.table.take(ro, test_rows[:1], 5, members=True)
+        _, settled = unit.table.take(ro.rows, test_rows[:1], 5, members=True)
         assert not settled.any()
 
     def test_a_tie_beyond_the_table_falls_back(self, monkeypatch):
@@ -417,7 +417,7 @@ class TestNeighbourTable:
         unit = Dataset([[0.0], [1.0], [-1.0], [1.0]], [0, 0, 1, 1]).with_neighbour_table()
         assert unit.table.index[0].tolist() == [1, 2]
         train = unit.subset([1, 3, 1])
-        _, settled = unit.table.take(train, np.array([0]), 2)
+        _, settled = unit.table.take(train.rows, np.array([0]), 2)
         assert not settled.any()
         _, scores = knn_predict_batch(knn_fit(train, 2, minority_label=1), unit.subset([0]))
         assert scores.tolist() == [0.5]
@@ -539,6 +539,18 @@ class TestDataset:
             Dataset(ds.points, ds.labels, table=unit.table)
         with pytest.raises(SkewbenchError, match="must match the point count"):
             Dataset(ds.points, ds.labels, table=unit.table, rows=[0, 1])
+
+    def test_numbered_rows_need_no_table(self):
+        ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 0, 1, 1])).with_rows()
+        assert ds.table is None and ds.distinct_rows
+        sub = ds.subset([3, 1, 3]).subset([2, 0])
+        assert sub.table is None and sub.rows.tolist() == [3, 3] and not sub.distinct_rows
+        assert ds.subset([1, 3]).distinct_rows
+        # Without a table, NCR's neighbours come from `nearest`.
+        assert np.array_equal(resample._nearest_others(ds, 1),
+                              nearest(ds.points, ds.points, 1, exclude=np.arange(ds.n)))
+        with pytest.raises(SkewbenchError, match="must match the point count"):
+            Dataset(ds.points, ds.labels, rows=[0, 1])
 
 
 class TestSeeds:

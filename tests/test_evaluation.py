@@ -386,6 +386,28 @@ class TestEvaluateFolds:
                        subclusters_full=gt.subcluster_assignment)
         assert built == [ds.n] * builds
 
+    # Every unit numbers its rows, so RO and CO name the rows they copy and
+    # the tree fits their distinct rows, whether or not the unit has a table.
+    @pytest.mark.parametrize("classifiers", [(TreeClassifier(),),
+                                             (KnnClassifier(), TreeClassifier())])
+    def test_copied_sets_fit_on_distinct_rows_with_or_without_a_table(self, monkeypatch,
+                                                                      classifiers):
+        fitted: list[tuple[int, int]] = []
+        fit = classify.tree_fit
+
+        def spy(ds, *args, counts, **kwargs):
+            fitted.append((ds.n, int(counts.sum())))
+            return fit(ds, *args, counts=counts, **kwargs)
+
+        monkeypatch.setattr(classify, "tree_fit", spy)
+        ds, gt = fold_dataset()
+        fold = stratified_kfold(ds, 3, seed=5)
+        evaluate_folds(ds, fold, (Base(), RO(), CO()), classifiers, RngSeed(1),
+                       subclusters_full=gt.subcluster_assignment)
+        base, ro, co = fitted
+        assert base == (2 * ds.n, 2 * ds.n)
+        assert ro[0] == co[0] == 2 * ds.n and ro[1] > ro[0] and co[1] > co[0]
+
     @pytest.mark.parametrize("methods,classifiers,named", [
         ((Base(), RO(), Base()), (KnnClassifier(),), "method 'base'"),
         ((Base(),), (KnnClassifier(), TreeClassifier(), KnnClassifier(k=5)), "classifier 'knn'"),

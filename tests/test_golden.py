@@ -8,8 +8,9 @@ smote, sparsity) -> `eval` (two runs that between them cover every method)
 -> `plot --show-centers` (2-D only, the one dimension `plot` renders).
 A third `eval` runs RO and CO alone with both classifiers, so their trees
 grow on sets of copied rows that carry a neighbour table. One more key runs
-`eval -m co --classifier tree` on 4000 generated rows, where the CO sets'
-roots hold more rows than the tree's cut rule covers (`classify.CUT_RULE_ROWS`).
+`eval -m co --classifier tree` on 4000 generated rows: a unit with no table,
+whose CO sets still fit on their distinct rows, and whose roots hold more
+counted rows than the tree's cut rule covers (`classify.CUT_RULE_ROWS`).
 Together they cover the column-wise and the broadcast branch of
 `core.pairwise_sq`, the neighbour top-k and MeanShift. At n = 300 no
 `core.nearest` call is large enough for its feature-0 sweep, so each digest
