@@ -349,21 +349,15 @@ def _level_splits(points: np.ndarray, is_min: np.ndarray, weight: np.ndarray,
             threshold[at] = (values[best] + values[best + 1]) / 2.0
 
 
-def _tree_ids(trees, count: int) -> np.ndarray:
-    """`trees` as an intp array of tree ids, one per row of `count` rows."""
-    ids = np.asarray(trees)
-    if ids.shape != (count,) or (count and ids.dtype.kind not in "iu"):
-        raise SkewbenchError(f"tree ids must be {count} integers, one per row")
-    return ids.astype(np.intp)
-
-
-def _copy_counts(counts, count: int) -> np.ndarray:
-    """`counts` as an int64 array of `count` positive integers, one per row."""
-    weight = np.asarray(counts)
-    if weight.shape != (count,) or (count and (weight.dtype.kind not in "iu"
-                                               or weight.min() < 1)):
-        raise SkewbenchError(f"copy counts must be {count} positive integers, one per row")
-    return weight.astype(np.int64)
+def _per_row(values, count: int, name: str, positive: bool = False) -> np.ndarray:
+    """`values` as an intp array of `count` integers, one per row, each >= 1
+    if `positive`; `name` says what they are when they are not."""
+    arr = np.asarray(values)
+    if arr.shape != (count,) or (count and (arr.dtype.kind not in "iu"
+                                            or positive and arr.min() < 1)):
+        kind = "positive integers" if positive else "integers"
+        raise SkewbenchError(f"{name} must be {count} {kind}, one per row")
+    return arr.astype(np.intp)
 
 
 def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
@@ -397,10 +391,12 @@ def tree_fit(ds: Dataset, max_depth: int = TreeClassifier.max_depth,
     if ds.n == 0:
         raise SkewbenchError("cannot fit a tree on an empty dataset")
     # Node of each row within its level, starting at its tree's root.
-    node = np.zeros(ds.n, dtype=np.intp) if trees is None else _tree_ids(trees, ds.n)
+    node = (np.zeros(ds.n, dtype=np.intp) if trees is None
+            else _per_row(trees, ds.n, "tree ids"))
     if node.min() < 0 or not np.bincount(node).all():
         raise SkewbenchError("tree ids must run from 0 with at least one row each")
-    weight = np.ones(ds.n, dtype=np.int64) if counts is None else _copy_counts(counts, ds.n)
+    weight = (np.ones(ds.n, dtype=np.int64) if counts is None
+              else _per_row(counts, ds.n, "copy counts", positive=True))
     majority = _majority_label(ds, minority_label)
     is_min = ds.labels == minority_label
     weight_min = weight * is_min
@@ -463,7 +459,8 @@ def tree_predict_batch(model: TreeModel, queries, trees=None) -> tuple[np.ndarra
         raise SkewbenchError("query dimension does not match training data")
     # All queries descend together from their tree's root, one level per pass,
     # until each is at a leaf.
-    at = np.zeros(len(q), dtype=np.intp) if trees is None else _tree_ids(trees, len(q))
+    at = (np.zeros(len(q), dtype=np.intp) if trees is None
+          else _per_row(trees, len(q), "tree ids"))
     if len(at) and (at.min() < 0 or at.max() >= model.n_trees):
         raise SkewbenchError(f"tree id outside 0..{model.n_trees - 1}")
     todo = np.flatnonzero(model.left[at] >= 0)

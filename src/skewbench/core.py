@@ -201,21 +201,16 @@ def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order gives the same bits with no n x m x d temporary; from 8 it sums
     pairwise, which the broadcast form keeps.
     """
-    sq = _unchecked_sq(a, b)
-    if not np.all(np.isfinite(sq)):
-        raise SkewbenchError("squared distances overflow: coordinates too far apart")
-    return sq
-
-
-def _unchecked_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`pairwise_sq` without the overflow check: an overflowing pair is inf."""
     with np.errstate(over="ignore"):
         if a.shape[1] < 8:
             sq = (a[:, 0, None] - b[None, :, 0]) ** 2
             for j in range(1, a.shape[1]):
                 sq += (a[:, j, None] - b[None, :, j]) ** 2
-            return sq
-        return ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+        else:
+            sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+    if not np.all(np.isfinite(sq)):
+        raise SkewbenchError("squared distances overflow: coordinates too far apart")
+    return sq
 
 
 def nearest(points: np.ndarray, queries: np.ndarray, k: int,
@@ -224,23 +219,10 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int,
 
     Tied distances break toward the lower point index. `exclude` names one
     point index per query, ranked last: self-exclusion for any k < len(points).
-
-    Calls whose full distance matrix exceeds `_BLOCK_BYTES` sweep the queries
-    in feature-0 order (`_sweep_nearest`), skipping the points that cannot be
-    among a block's k nearest; the result is the same, bit for bit.
+    One blocked scan: each row block of queries against every point.
     """
     if not 1 <= k <= len(points):
         raise SkewbenchError(f"cannot take the {k} nearest of {len(points)} points")
-    if (8 * len(queries) * len(points) > _BLOCK_BYTES
-            and k + (exclude is not None) <= len(points)
-            and _box_sq_finite(points, queries)):
-        return _sweep_nearest(points, queries, k, exclude)
-    return _scan(points, queries, k, exclude)
-
-
-def _scan(points: np.ndarray, queries: np.ndarray, k: int,
-          exclude: np.ndarray | None) -> np.ndarray:
-    """`nearest` by a full scan: every query against every point, in row blocks."""
     out = np.empty((len(queries), k), dtype=np.intp)
     for rows, _, top in _scan_blocks(points, queries, k, exclude):
         out[rows] = top
@@ -331,76 +313,6 @@ class NeighbourTable:
             alone = ((sq == boundary[:, None]) & (have[at] > 0)).sum(axis=1) == 1
             settled[at] = alone & (sq[:, -1] > boundary)
         return taken, settled
-
-
-def _box_sq_finite(points: np.ndarray, queries: np.ndarray) -> bool:
-    """Whether the squared diagonal of the box around points and queries is finite.
-
-    It bounds every pair's squared distance, computed by the same code, from
-    above: subtracting, squaring and adding non-negative terms are monotone
-    under round-to-nearest. Where it is not finite the full path runs, so the
-    overflow error fires on exactly the inputs where some pair overflows.
-    """
-    lo = np.minimum(points.min(axis=0), queries.min(axis=0))
-    hi = np.maximum(points.max(axis=0), queries.max(axis=0))
-    return bool(np.isfinite(_unchecked_sq(lo[None], hi[None]))[0, 0])
-
-
-def _sweep_nearest(points: np.ndarray, queries: np.ndarray, k: int,
-                   exclude: np.ndarray | None) -> np.ndarray:
-    """`nearest` over blocks of about 2*sqrt(q) queries taken in feature-0
-    order, each against only the points that can be among its k nearest.
-
-    The bounds test of exact nearest-neighbour search (Friedman, Bentley &
-    Finkel, ACM TOMS 1977) on one axis. A query's k-th squared distance into
-    a first set of points near the block bounds its true k-th distance from
-    above. A point whose squared feature-0 gap to the block's range exceeds
-    u, the largest bound over the block's queries, has a computed distance
-    above u, since a sum of non-negative terms is at least each term, so it
-    can be neither taken nor tied, and is skipped. The kept points stay in
-    ascending index order with the distances `pairwise_sq` gives them on the
-    full path, so `_topk` returns the same indices. Needs k (+1 with
-    `exclude`) <= len(points).
-    """
-    out = np.empty((len(queries), k), dtype=np.intp)
-    need = k + (exclude is not None)
-    x = points[:, 0]
-    by_x = np.argsort(x, kind="stable")
-    sorted_x = x[by_x]
-    queries_by_x = np.argsort(queries[:, 0], kind="stable")
-    size = 2 * math.isqrt(len(queries))
-    for start in range(0, len(queries), size):
-        block = queries_by_x[start:start + size]
-        lo, hi = queries[block[0], 0], queries[block[-1], 0]
-        # Points inside the block's feature-0 range, widened by `need` on each
-        # side, which leaves at least `need` of them.
-        first = np.sort(by_x[max(0, np.searchsorted(sorted_x, lo, "left") - need):
-                             np.searchsorted(sorted_x, hi, "right") + need])
-        u = max(np.partition(sq, k - 1, axis=1)[:, k - 1].max()
-                for _, sq in _candidate_sq(points, queries, block, first, exclude))
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        gap *= gap
-        kept = np.flatnonzero(gap <= u)
-        for rows, sq in _candidate_sq(points, queries, block, kept, exclude):
-            out[rows] = kept[_topk(sq, k)]
-    return out
-
-
-def _candidate_sq(points: np.ndarray, queries: np.ndarray, picks: np.ndarray,
-                  candidates: np.ndarray, exclude: np.ndarray | None):
-    """(query indices, squared distances) per row block of `queries[picks]`
-    against `points[candidates]`, with each row's excluded point at inf.
-    `candidates` must be ascending."""
-    pts = points[candidates]
-    for rows in _row_blocks(len(picks), pts):
-        rows = picks[rows]
-        sq = pairwise_sq(queries[rows], pts)
-        if exclude is not None:
-            ex = exclude[rows]
-            col = np.minimum(np.searchsorted(candidates, ex), len(candidates) - 1)
-            hit = np.flatnonzero(candidates[col] == ex)
-            sq[hit, col[hit]] = np.inf
-        yield rows, sq
 
 
 def _topk(sq: np.ndarray, k: int) -> np.ndarray:

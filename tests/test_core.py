@@ -175,13 +175,15 @@ class TestNearest:
         # Point 2j+1 duplicates point 2j, so excluding either of a pair leaves
         # its twin tied at distance 0 and the rest tied on the lattice.
         rng = np.random.default_rng(9)
-        half = rng.integers(0, 3, size=(20, 2)).astype(np.float64)
-        pts = np.repeat(half, 2, axis=0)
-        self.use_rows(monkeypatch, rows, pts)
-        for exclude in (np.arange(40), np.arange(40) ^ 1, np.zeros(40, dtype=int)):
-            for k in (1, 2, 7):
-                assert np.array_equal(nearest(pts, pts, k, exclude=exclude),
-                                      brute_nearest(pts, pts, k, exclude=exclude))
+        for pairs, values in ((20, 3), (40, 5)):
+            half = rng.integers(0, values, size=(pairs, 2)).astype(np.float64)
+            pts = np.repeat(half, 2, axis=0)
+            self.use_rows(monkeypatch, rows, pts)
+            n = 2 * pairs
+            for exclude in (np.arange(n), np.arange(n) ^ 1, np.zeros(n, dtype=int)):
+                want = brute_nearest(pts, pts, 7, exclude=exclude)
+                for k in (1, 2, 7):
+                    assert np.array_equal(nearest(pts, pts, k, exclude=exclude), want[:, :k])
 
     @pytest.mark.parametrize("dims", [1, 2, 3, 8, 9])
     def test_every_k_up_to_n(self, dims):
@@ -232,7 +234,7 @@ class TestNearest:
         assert peak < 8 * 2**20
 
     @staticmethod
-    def sweep_points(kind, dims, rng):
+    def kind_points(kind, dims, rng):
         if kind == "lattice":
             return rng.integers(0, 3, size=(60, dims)).astype(np.float64)
         if kind == "ro_duplicates":
@@ -243,13 +245,11 @@ class TestNearest:
             pts[:, 0] = 1.5
             return pts
         if kind == "spaced_x":
-            # Feature 0 spaced far wider than the neighbour distances: a
-            # block's range holds points far from both of its ends.
+            # Feature 0 spaced far wider than the neighbour distances.
             pts = rng.integers(0, 2, size=(60, dims)).astype(np.float64)
             pts[:, 0] = rng.permutation(60) * 0.75
             return pts
-        # Dense clusters, a sparse spread and far-off points: a block with
-        # one far query keeps a wide window, and a few windows skip nothing.
+        # Dense clusters, a sparse spread and far-off points.
         return np.concatenate([rng.normal(size=(30, dims)) * 0.1,
                                rng.uniform(-3, 3, size=(26, dims)),
                                rng.uniform(-40, 40, size=(4, dims))])
@@ -258,82 +258,50 @@ class TestNearest:
     @pytest.mark.parametrize("kind", ["lattice", "ro_duplicates", "one_x", "spaced_x",
                                       "clusters"])
     @pytest.mark.parametrize("dims", [1, 2, 3, 9])
-    def test_sweep_matches_brute_force(self, force_sweep, dims, kind, block_bytes):
+    def test_sweep_matches_brute_force(self, small_blocks, dims, kind, block_bytes):
         rng = np.random.default_rng(dims)
-        pts = self.sweep_points(kind, dims, rng)
+        pts = self.kind_points(kind, dims, rng)
         n = len(pts)
         queries = pts[rng.permutation(n)[:45]] + 0.5 * rng.integers(0, 2, size=(45, dims))
         self_ex = np.arange(n)
         # The brute-force order of all points; the k nearest are its first k.
         want = brute_nearest(pts, queries, n)
         want_ex = brute_nearest(pts, pts, n - 1, exclude=self_ex)
-        sweeps = force_sweep(block_bytes)
+        small_blocks(block_bytes)
         for k in (1, 4, 9, n - 1):
             assert np.array_equal(nearest(pts, queries, k), want[:, :k])
             assert np.array_equal(nearest(pts, pts, k, exclude=self_ex), want_ex[:, :k])
-        assert len(sweeps) == 8
-        # With `exclude`, k = n needs the excluded point itself: the full scan.
+        # With `exclude`, k = n takes the excluded point itself, last.
         got = nearest(pts, pts, n, exclude=self_ex)
         assert np.array_equal(got[:, :-1], want_ex)
         assert np.array_equal(got[:, -1], self_ex)
         assert np.array_equal(nearest(pts, queries, n), want)
-        assert len(sweeps) == 9
 
-    def test_sweep_exclude_hits_a_duplicate(self, force_sweep):
-        # Excluding one of a pair of twins leaves the other at distance 0,
-        # whether or not the excluded twin is among the kept points.
-        rng = np.random.default_rng(9)
-        pts = np.repeat(rng.integers(0, 5, size=(40, 2)).astype(np.float64), 2, axis=0)
-        sweeps = force_sweep(512)
-        for exclude in (np.arange(80), np.arange(80) ^ 1, np.zeros(80, dtype=int)):
-            want = brute_nearest(pts, pts, 7, exclude=exclude)
-            for k in (1, 2, 7):
-                assert np.array_equal(nearest(pts, pts, k, exclude=exclude), want[:, :k])
-        assert len(sweeps) == 9
-
-    def test_sweep_where_squares_underflow(self, force_sweep):
-        # Two clusters one apart, each 1e-170 wide: squared gaps and
-        # distances inside a cluster underflow to 0, so every neighbour there
-        # ties and the bound is 0.
+    def test_sweep_where_squares_underflow(self, small_blocks):
+        # Two clusters one apart, each 1e-170 wide: squared distances inside
+        # a cluster underflow to 0, so every neighbour there ties.
         offsets = np.arange(30)[:, None] * 1e-170 * np.array([[1.0, -1.0]])
         pts = np.concatenate([offsets, offsets + 1.0])
         self_ex = np.arange(60)
         assert np.all(pairwise_sq(pts[:30], pts[:30]) == 0.0)
         want_ex = brute_nearest(pts, pts, 59, exclude=self_ex)
         want = brute_nearest(pts, pts[::-1], 59)
-        sweeps = force_sweep(64)
+        small_blocks(64)
         for k in (1, 5, 29, 30, 59):
             assert np.array_equal(nearest(pts, pts, k, exclude=self_ex), want_ex[:, :k])
             assert np.array_equal(nearest(pts, pts[::-1], k), want[:, :k])
-        assert len(sweeps) == 10
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_far_pair_overflows_though_the_sweep_would_skip_it(self, force_sweep):
-        # Every query's neighbours are near the origin, so a sweep would skip
-        # the far point; its squared distance to them still overflows, and the
-        # full scan reports that as it does for small calls.
+    def test_far_pair_overflows_though_the_sweep_would_skip_it(self, small_blocks):
+        # Every query's neighbours are near the origin, far from the last
+        # point along feature 0; the squared distance to that point still
+        # overflows, and the scan reports it, in small blocks too.
         rng = np.random.default_rng(5)
         pts = np.concatenate([rng.normal(size=(80, 2)), [[1e155, 0.0]]])
-        sweeps = force_sweep(64)
+        small_blocks(64)
         for queries, exclude in ((pts, np.arange(81)), (pts[:80], None)):
             with pytest.raises(SkewbenchError, match="squared distances overflow"):
                 nearest(pts, queries, 3, exclude=exclude)
-        assert sweeps == []
-
-    def test_sweep_peak_memory_bounded_when_all_x_equal(self):
-        # All of feature 0 equal: every window is the whole set.
-        rng = np.random.default_rng(6)
-        pts = rng.normal(size=(2000, 2))
-        pts[:, 0] = 0.25
-        tracemalloc.start()
-        try:
-            got = nearest(pts, pts, 5, exclude=np.arange(2000))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-        assert np.array_equal(got[::250], brute_nearest(pts, pts[::250], 5,
-                                                        exclude=np.arange(2000)[::250]))
 
 
 class TestNeighbourTable:

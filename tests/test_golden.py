@@ -12,13 +12,14 @@ grow on sets of copied rows that carry a neighbour table. One more key runs
 whose CO sets still fit on their distinct rows, and whose roots hold more
 counted rows than the tree's cut rule covers (`classify.CUT_RULE_ROWS`).
 Together they cover the column-wise and the broadcast branch of
-`core.pairwise_sq`, the neighbour top-k and MeanShift. At n = 300 no
-`core.nearest` call is large enough for its feature-0 sweep, so each digest
-is checked again with `core._BLOCK_BYTES` shrunk until calls go through the
-sweep. Each digest is also checked with every query of the neighbour tables
-that `evaluate_folds` shares across a unit's folds falling back to
-`core.nearest`, scanned and swept. A change that alters one output byte
-fails here; only a change meant to alter outputs may rewrite the file:
+`core.pairwise_sq`, the neighbour top-k and MeanShift. At n = 300 a
+`core.nearest` scan takes few row blocks, so each digest is checked again
+with `core._BLOCK_BYTES` shrunk until its blocks hold a few rows. Each
+digest is also checked with every query of the neighbour tables that
+`evaluate_folds` shares across a unit's folds falling back to
+`core.nearest`, at the default and at small blocks. A change that alters one
+output byte fails here; only a change meant to alter outputs may rewrite the
+file:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -163,44 +164,41 @@ def test_large_co_tree_matches_golden(tmp_path):
 
 
 # At 64 KiB the smoke experiment's calls (40 queries against at most 136
-# points) still fit one block; 8 KiB sends them through the sweep too. Its
-# neighbour table settles every query, so the sweep runs on fallback only.
-def test_swept_smoke_experiment_matches_golden(tmp_path, force_sweep, force_table_fallback):
+# points) still fit one block; at 8 KiB they split into blocks of a few rows. Its
+# neighbour table settles every query, so `nearest` runs on fallback only.
+def test_swept_smoke_experiment_matches_golden(tmp_path, small_blocks, force_table_fallback):
     want = json.loads(DIGESTS.read_text())
-    sweeps = force_sweep(8 << 10)
+    small_blocks(8 << 10)
     got = smoke_digests(tmp_path)
     assert got == {key: want[key] for key in got}
-    assert sweeps
 
 
-def test_swept_all_methods_experiment_matches_golden(tmp_path, force_sweep):
+def test_swept_all_methods_experiment_matches_golden(tmp_path, small_blocks):
     want = json.loads(DIGESTS.read_text())
-    sweeps = force_sweep(8 << 10)
+    small_blocks(8 << 10)
     got = all_methods_digests(tmp_path)
     assert got == {key: want[key] for key in want if key.startswith("all_methods/")}
-    assert sweeps
 
 
 @pytest.mark.parametrize("block_kib", [64, 8])
 @pytest.mark.parametrize("dims", DIMS)
-def test_swept_pipeline_matches_golden(tmp_path, force_sweep, dims, block_kib):
+def test_swept_pipeline_matches_golden(tmp_path, small_blocks, dims, block_kib):
     want = json.loads(DIGESTS.read_text())
-    sweeps = force_sweep(block_kib << 10)
+    small_blocks(block_kib << 10)
     got = pipeline_digests(tmp_path, dims)
     assert got == {key: want[key] for key in want if key.startswith(f"d{dims}/")}
-    assert sweeps
 
 
 # Every run digested above shares a neighbour table in some unit or `eval`;
 # with each table query sent to `core.nearest` the bytes must not move,
-# whether that call scans or sweeps.
+# whether that call scans in one block or in many.
 @pytest.mark.parametrize("block_kib", [None, 8])
 @pytest.mark.parametrize("run", ["smoke", "all_methods", *(f"d{dims}" for dims in DIMS)])
-def test_table_fallback_matches_golden(tmp_path, force_sweep, force_table_fallback,
+def test_table_fallback_matches_golden(tmp_path, small_blocks, force_table_fallback,
                                        run, block_kib):
     want = json.loads(DIGESTS.read_text())
     if block_kib is not None:
-        force_sweep(block_kib << 10)
+        small_blocks(block_kib << 10)
     if run == "smoke":
         got = smoke_digests(tmp_path)
     elif run == "all_methods":
